@@ -98,26 +98,8 @@ class ScalParC:
         with ``resume`` set continues an interrupted fit instead of
         starting over.
         """
-        if checkpoint is None:
-            checkpoint = self.config.checkpoint
-        if self.machine is not None:
-            perf = PerfRun(self.n_processors, self.machine)
-            trees = run_spmd(
-                self.n_processors, induce_worker,
-                args=(dataset, self.config),
-                observer=perf, rank_perf=perf.trackers,
-                backend=self.backend, trace=trace, checkpoint=checkpoint,
-            )
-            stats = perf.stats()
-        else:
-            trees = run_spmd(
-                self.n_processors, induce_worker,
-                args=(dataset, self.config), backend=self.backend,
-                trace=trace, checkpoint=checkpoint,
-            )
-            stats = None
-        return FitResult(tree=trees[0], stats=stats,
-                         n_processors=self.n_processors)
+        return self._run(induce_worker, dataset, trace=trace,
+                         checkpoint=checkpoint)
 
     def fit_stream(self, dataset: Dataset, trace: object | None = None,
                    checkpoint: object | None = None,
@@ -175,27 +157,31 @@ class ScalParC:
                     max_epochs, finalize, fresh_cursor) -> FitResult:
         from ..streaming import stream_induce_worker
 
+        return self._run(stream_induce_worker, dataset, trace=trace,
+                         checkpoint=checkpoint,
+                         kwargs={"max_epochs": max_epochs,
+                                 "finalize": finalize,
+                                 "fresh_cursor": fresh_cursor})
+
+    def _run(self, worker, dataset: Dataset, *, trace, checkpoint,
+             kwargs: dict | None = None) -> FitResult:
+        """Run ``worker`` on the configured ranks and backend, priced on
+        ``self.machine`` unless that is ``None``."""
         if checkpoint is None:
             checkpoint = self.config.checkpoint
-        kwargs = {"max_epochs": max_epochs, "finalize": finalize,
-                  "fresh_cursor": fresh_cursor}
-        if self.machine is not None:
-            perf = PerfRun(self.n_processors, self.machine)
-            trees = run_spmd(
-                self.n_processors, stream_induce_worker,
-                args=(dataset, self.config), kwargs=kwargs,
-                observer=perf, rank_perf=perf.trackers,
-                backend=self.backend, trace=trace, checkpoint=checkpoint,
-            )
-            stats = perf.stats()
+        if self.machine is None:
+            perf = rank_perf = None
         else:
-            trees = run_spmd(
-                self.n_processors, stream_induce_worker,
-                args=(dataset, self.config), kwargs=kwargs,
-                backend=self.backend, trace=trace, checkpoint=checkpoint,
-            )
-            stats = None
-        return FitResult(tree=trees[0], stats=stats,
+            perf = PerfRun(self.n_processors, self.machine)
+            rank_perf = perf.trackers
+        trees = run_spmd(
+            self.n_processors, worker,
+            args=(dataset, self.config), kwargs=kwargs,
+            observer=perf, rank_perf=rank_perf,
+            backend=self.backend, trace=trace, checkpoint=checkpoint,
+        )
+        return FitResult(tree=trees[0],
+                         stats=None if perf is None else perf.stats(),
                          n_processors=self.n_processors)
 
 

@@ -14,37 +14,41 @@ Every rank runs this loop; all tree-shaping information (per-node class
 totals, winning splits, categorical child layouts) is global after the
 level's reductions, so every rank builds an identical copy of the decision
 tree — the driver returns rank 0's copy, and the test suite asserts the
-copies (and the serial reference's tree) are structurally equal.
+copies (and the serial reference's tree) are structurally equal.  The
+rules that decide the tree's shape and the checkpoint-cut protocol live
+in :mod:`repro.core.growth`, shared with the streaming driver; this
+module keeps the presort, the split strategies and the ``SplitPhase``.
 """
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 
-from ..datagen.schema import Dataset, Schema
+from ..datagen.schema import Dataset
 from ..runtime import Communicator
 from ..runtime.checkpoint import (
     CheckpointConfig,
     CheckpointError,
     LevelCheckpointer,
-    LoadedCheckpoint,
     resolve_checkpoint,
 )
 from ..runtime.tracing import tag_level
-from ..runtime.tracing.events import payload_digest
-from ..tree.model import (
-    CategoricalSplit,
-    ContinuousSplit,
-    DecisionTree,
-    Leaf,
-    TreeNode,
-)
+from ..tree.model import ContinuousSplit, DecisionTree, TreeNode
 from .attribute_lists import build_local_lists, restore_local_lists
 from .config import InductionConfig
-from .criteria import impurity
 from .findsplit import node_class_totals
+from .growth import (
+    accepted_splits,
+    attach,
+    check_trainable,
+    config_fingerprint,
+    new_leaf,
+    open_cut,
+    restore_rank_extras,
+    save_cut,
+    split_node,
+    terminal_nodes,
+)
 from .phases import FINDSPLIT1, FINDSPLIT2, PRESORT, timed_phase
 from .splits import categorical_children_layout, pack_candidates
 from .splitter import LevelDecisions, ScalParCSplitPhase, SplitPhase
@@ -56,61 +60,23 @@ __all__ = ["induce_worker"]
 _CKPT_ALGO = "scalparc-induction"
 
 
-def _schema_fingerprint(schema: Schema) -> str:
-    """Content digest of the tree-shaping dataset shape (same digest
-    family as the collective tracer, so it is stable across processes)."""
-    return payload_digest([
-        int(schema.n_classes),
-        [(spec.name, bool(spec.is_continuous), int(spec.n_values))
-         for spec in schema],
-    ])
+def _shape_extras(config: InductionConfig) -> list:
+    """The batch driver's own tree-shaping knobs for the cut's config
+    fingerprint: the *resolved* split mode and its parameters.
 
-
-def _config_fingerprint(config: InductionConfig) -> str:
-    """Digest of the knobs that shape the induced tree (communication
-    scheduling knobs are free to differ between the original run and a
-    resume — they never change the tree).
-
-    The *resolved* split mode is part of the digest: histogram/voted
-    splits are approximations, so resuming a histogram run in exact mode
-    (or under a different bin budget / vote width) would silently graft
-    differently-shaped subtrees — that resume must fail loudly instead.
-    Mode-irrelevant knobs are masked out so e.g. an exact checkpoint
-    resumes regardless of the (unused) ``n_bins`` default.
+    Histogram/voted splits are approximations, so resuming a histogram
+    run in exact mode (or under a different bin budget / vote width)
+    would silently graft differently-shaped subtrees — that resume must
+    fail loudly instead.  Mode-irrelevant knobs are masked out so e.g.
+    an exact checkpoint resumes regardless of the (unused) ``n_bins``
+    default.
     """
     mode = config.resolved_split_mode()
-    return payload_digest([
-        config.max_depth, config.min_split_records,
-        float(config.min_improvement), config.criterion,
-        config.categorical_binary_subsets, config.subset_exhaustive_limit,
+    return [
         mode,
         config.n_bins if mode in ("histogram", "voted") else None,
         config.vote_top_k if mode == "voted" else None,
-    ])
-
-
-def _rank_extras(comm: Communicator) -> dict:
-    """Best-effort per-rank runtime state (tracker + RNG) for a cut."""
-    perf = comm.perf
-    try:
-        pickle.dumps(perf)
-    except Exception:
-        perf = None
-    return {"perf": perf, "rng": np.random.get_state()}
-
-
-def _restore_rank_extras(comm: Communicator, payload: dict) -> None:
-    """Restore tracker clock/counters and RNG saved by the same rank of
-    an equal-size run (skipped entirely on p → p′ resume)."""
-    perf = payload.get("perf")
-    if perf is not None and type(perf).__name__ == type(comm.perf).__name__:
-        try:
-            vars(comm.perf).update(vars(perf))
-        except TypeError:
-            pass
-    rng = payload.get("rng")
-    if rng is not None:
-        np.random.set_state(rng)
+    ]
 
 
 def induce_worker(
@@ -139,10 +105,7 @@ def induce_worker(
     strategy = make_strategy(config)
     split_phase = split_phase if split_phase is not None \
         else ScalParCSplitPhase()
-    if dataset.n_records == 0:
-        raise ValueError("cannot induce a tree from an empty dataset")
-    if len(dataset.schema) == 0:
-        raise ValueError("dataset has no attributes")
+    check_trainable(dataset, "induce")
     schema = dataset.schema
     n_classes = schema.n_classes
 
@@ -151,12 +114,6 @@ def induce_worker(
     resume_src = ckpt_cfg.resume_source() if ckpt_cfg is not None else None
 
     root_holder: list[TreeNode | None] = [None]
-
-    def attach(node: TreeNode, parent: TreeNode | None, slot: int) -> None:
-        if parent is None:
-            root_holder[0] = node
-        else:
-            parent.children[slot] = node
 
     if resume_src is not None:
         lists, n_total, pending, level = _resume_from_checkpoint(
@@ -180,12 +137,7 @@ def induce_worker(
         n_node = totals.sum(axis=1)
         depth_of = np.array([d for (_, _, d) in pending], dtype=np.int64)
 
-        terminal = (totals.max(axis=1) == n_node) | (
-            n_node < config.min_split_records
-        )
-        if config.max_depth is not None:
-            terminal |= depth_of >= config.max_depth
-        candidate_nodes = ~terminal
+        candidate_nodes = ~terminal_nodes(totals, depth_of, config)
 
         # ---- FindSplitI + FindSplitII ---------------------------------
         # the split strategy owns local statistics, the collective plan
@@ -203,12 +155,7 @@ def induce_worker(
         else:
             best = local_best
 
-        parent_imp = impurity(totals, config.criterion)
-        split_ok = (
-            candidate_nodes
-            & np.isfinite(best[:, 0])
-            & (parent_imp - best[:, 0] >= config.min_improvement)
-        )
+        split_ok = candidate_nodes & accepted_splits(totals, best, config)
 
         # ---- categorical child layouts from the coordinators -----------
         my_layouts: dict[int, tuple[list[int], int, int]] = {}
@@ -237,45 +184,20 @@ def induce_worker(
 
         for k in range(m):
             parent, slot, depth = pending[k]
-            counts_k = totals[k]
             if not split_ok[k]:
-                if int(n_node[k]) == 0 and parent is not None:
-                    # an empty child (a multiway categorical value with no
-                    # records at this node) has all-zero counts: argmax
-                    # would always say class 0 — inherit the parent's
-                    # majority instead
-                    label = int(np.argmax(parent.class_counts))
-                else:
-                    label = int(np.argmax(counts_k))
-                attach(
-                    Leaf(label=label,
-                         n_records=int(n_node[k]),
-                         class_counts=counts_k.copy(), depth=depth),
-                    parent, slot,
-                )
+                attach(root_holder, parent, slot,
+                       new_leaf(totals[k], depth, parent))
                 continue
-            attr = int(best[k, 1])
-            winner_attr[k] = attr
+            node = split_node(schema, best[k], totals[k], depth,
+                              merged_layouts.get(k))
+            attach(root_holder, parent, slot, node)
+            winner_attr[k] = node.attr_index
             child_base[k] = n_next
-            if schema[attr].is_continuous:
-                threshold[k] = best[k, 2]
-                node: TreeNode = ContinuousSplit(
-                    attr_index=attr, threshold=float(best[k, 2]),
-                    n_records=int(n_node[k]), class_counts=counts_k.copy(),
-                    depth=depth, children=[None, None],
-                )
-                n_children = 2
+            if isinstance(node, ContinuousSplit):
+                threshold[k] = node.threshold
             else:
-                v2c_list, n_children, default = merged_layouts[k]
-                v2c = np.asarray(v2c_list, dtype=np.int32)
-                cat_layout_arrays[k] = v2c.astype(np.int64)
-                node = CategoricalSplit(
-                    attr_index=attr, value_to_child=v2c,
-                    n_records=int(n_node[k]), class_counts=counts_k.copy(),
-                    depth=depth, children=[None] * n_children,
-                    default_child=default,
-                )
-            attach(node, parent, slot)
+                cat_layout_arrays[k] = node.value_to_child.astype(np.int64)
+            n_children = len(node.children)
             for c in range(n_children):
                 new_pending.append((node, c, depth + 1))
             n_next += n_children
@@ -328,10 +250,11 @@ def _save_checkpoint(
     """Write one consistent cut at a level boundary (collective).
 
     The per-rank payload carries everything distribution-dependent
-    (attribute-list fragments, the split strategy's table share, tracker
-    and RNG state); the replicated payload carries the partial tree and
-    the pending frontier — one pickle, so the frontier's parent
-    references resolve into the same tree object graph on load.
+    (attribute-list fragments, the split strategy's table share; the
+    shared protocol adds tracker and RNG state); the replicated payload
+    carries the partial tree and the pending frontier — one pickle, so
+    the frontier's parent references resolve into the same tree object
+    graph on load.
 
     List snapshots are *compact* (rids + offsets only; values and labels
     re-derived from the dataset on resume) whenever the dataset holds
@@ -342,18 +265,15 @@ def _save_checkpoint(
     rank_payload = {
         "lists": [alist.snapshot_state(compact=compact) for alist in lists],
         "split_phase": split_phase.snapshot_state(),
-        **_rank_extras(comm),
     }
     shared_payload = {
-        "algo": _CKPT_ALGO,
         "n_total": int(n_total),
-        "schema": _schema_fingerprint(dataset.schema),
-        "config": _config_fingerprint(config),
         "tree": (root, list(pending)),
     }
-    ckpt.save(comm, level, rank_payload, shared_payload,
-              meta={"algo": _CKPT_ALGO, "n_total": int(n_total),
-                    "n_pending": len(pending)})
+    save_cut(comm, ckpt, level, _CKPT_ALGO, dataset.schema,
+             config_fingerprint(config, _shape_extras(config)),
+             rank_payload, shared_payload,
+             meta={"n_total": int(n_total), "n_pending": len(pending)})
 
 
 def _resume_from_checkpoint(
@@ -368,30 +288,15 @@ def _resume_from_checkpoint(
 
     Every rank reads all old ranks' payloads (digest-validated), so the
     p == p′ fast path and the p → p′ re-blocked path share one code
-    path; tracker/RNG state is restored only when the world size
-    matches (it is meaningless per-rank otherwise).
+    path.
     """
-    loaded = LoadedCheckpoint.open(source)
-    shared = loaded.shared_payload()
-    if shared.get("algo") != _CKPT_ALGO:
-        raise CheckpointError(
-            f"checkpoint {loaded.manifest_path!r} was not written by the "
-            f"induction driver (algo={shared.get('algo')!r})"
-        )
+    loaded, shared = open_cut(
+        source, _CKPT_ALGO, dataset.schema,
+        config_fingerprint(config, _shape_extras(config)))
     if int(shared["n_total"]) != dataset.n_records:
         raise CheckpointError(
             f"checkpoint holds {shared['n_total']} records but the dataset "
             f"has {dataset.n_records}; resume needs the same training set"
-        )
-    if shared["schema"] != _schema_fingerprint(dataset.schema):
-        raise CheckpointError(
-            "checkpoint schema does not match the dataset's; resume needs "
-            "the same training set"
-        )
-    if shared["config"] != _config_fingerprint(config):
-        raise CheckpointError(
-            "checkpoint was written under different tree-shaping settings; "
-            "resume with the original InductionConfig"
         )
 
     payloads = loaded.all_rank_payloads()
@@ -399,8 +304,7 @@ def _resume_from_checkpoint(
         comm, dataset, [p["lists"] for p in payloads]
     )
     split_phase.restore_state(comm, [p["split_phase"] for p in payloads])
-    if loaded.n_ranks == comm.size:
-        _restore_rank_extras(comm, payloads[comm.rank])
+    restore_rank_extras(comm, loaded, payloads)
 
     root, pending = shared["tree"]
     root_holder[0] = root

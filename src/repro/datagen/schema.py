@@ -115,6 +115,15 @@ class Dataset:
         for spec, col in zip(self.schema, self.columns):
             if len(col) != n:
                 raise ValueError(f"column {spec.name!r} length {len(col)} != {n}")
+            # NaN compares false against every threshold, so each driver
+            # would route it its own way; ±inf is an ordinary value.
+            # (min propagates NaN: one pass, no temporary mask)
+            if spec.is_continuous and len(col) and col.dtype.kind == "f" \
+                    and np.isnan(col.min()):
+                raise ValueError(
+                    f"continuous column {spec.name!r} holds NaN; impute or "
+                    f"drop missing values before building a Dataset"
+                )
             if not spec.is_continuous and len(col) and (
                 col.min() < 0 or col.max() >= spec.n_values
             ):

@@ -83,7 +83,7 @@ from .shm import (
     encode_payload,
     resolve_shm_threshold,
 )
-from .thread_engine import CommObserver, ThreadCommunicator
+from .engines.thread import CommObserver, ThreadCommunicator
 from .tracing import (
     LogicalOp,
     TraceCollector,

@@ -212,7 +212,7 @@ def run_spmd(
         Extra arguments passed *identically* to every rank (like argv of
         an MPI job).  Per-rank data must be derived from ``comm.rank``.
     observer:
-        Optional :class:`~repro.runtime.thread_engine.CommObserver`
+        Optional :class:`~repro.runtime.engines.thread.CommObserver`
         (e.g. the perf model's clock); invoked exactly once per
         communication event on every backend.
     rank_perf:

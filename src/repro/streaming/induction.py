@@ -26,6 +26,11 @@ replication argument.  With ``stream_grow_records == 0`` (the default:
 growth only at finalize) and lossless sketches, the streamed tree is
 **bit-identical** to batch ScalParC's on the same record prefix; the
 differential suite pins this with ``structurally_equal``.
+
+Which nodes stop, which splits are taken, how leaves are labelled and
+how cuts are stamped and checked are the batch driver's own rules,
+shared through :mod:`repro.core.growth`; this module keeps only the
+frontier registry, the sketches, ingest and reopening.
 """
 
 from __future__ import annotations
@@ -33,31 +38,34 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.config import InductionConfig
-from ..core.criteria import best_categorical_split, impurity
+from ..core.criteria import best_categorical_split
+from ..core.growth import (
+    accepted_splits,
+    attach,
+    check_trainable,
+    config_fingerprint,
+    new_leaf,
+    open_cut,
+    restore_rank_extras,
+    save_cut,
+    split_node,
+    terminal_nodes,
+)
 from ..core.kernels import split_scores
 from ..core.phases import STREAM_GROW, STREAM_INGEST, STREAM_SKETCH, \
     timed_phase
 from ..core.splits import BEST_SPLIT, NO_CANDIDATE, candidate_beats, \
-    categorical_children_layout, encode_mask, pack_candidates
+    categorical_children_layout, decode_mask, encode_mask, pack_candidates
 from ..datagen.schema import Dataset, Schema
 from ..runtime import Communicator
 from ..runtime.checkpoint import (
     CheckpointConfig,
-    CheckpointError,
     LevelCheckpointer,
-    LoadedCheckpoint,
     resolve_checkpoint,
 )
 from ..runtime.reduction import SUM
 from ..runtime.tracing import tag_level
-from ..runtime.tracing.events import payload_digest
-from ..tree.model import (
-    CategoricalSplit,
-    ContinuousSplit,
-    DecisionTree,
-    Leaf,
-    TreeNode,
-)
+from ..tree.model import DecisionTree, Leaf, TreeNode
 from .sketch import SKETCH_MERGE, build_sketch, empty_sketch, \
     merge_sketches, sketch_entries, sketch_from_entries
 from .source import ChunkSource
@@ -68,31 +76,21 @@ __all__ = ["stream_induce_worker"]
 _CKPT_ALGO = "scalparc-streaming"
 
 
-def _schema_fingerprint(schema: Schema) -> str:
-    return payload_digest([
-        int(schema.n_classes),
-        [(spec.name, bool(spec.is_continuous), int(spec.n_values))
-         for spec in schema],
-    ])
+def _shape_extras(config: InductionConfig) -> list:
+    """The streaming driver's own tree-shaping knobs for the cut's config
+    fingerprint: the resolved stream knobs.
 
-
-def _config_fingerprint(config: InductionConfig) -> str:
-    """Digest of the knobs that shape a streamed tree.
-
-    Beyond the batch tree-shaping knobs, the streaming schedule itself
-    shapes the tree whenever growth is eager or sketches compress, so the
-    resolved chunk/sketch/grow/reopen knobs all join the digest — a
-    resume under different streaming settings must fail loudly.
+    The streaming schedule itself shapes the tree whenever growth is
+    eager or sketches compress, so the resolved chunk/sketch/grow/reopen
+    knobs all join the digest — a resume under different streaming
+    settings must fail loudly.
     """
-    return payload_digest([
-        config.max_depth, config.min_split_records,
-        float(config.min_improvement), config.criterion,
-        config.categorical_binary_subsets, config.subset_exhaustive_limit,
+    return [
         config.resolved_stream_chunk_records(),
         config.resolved_sketch_size(),
         config.resolved_stream_grow_records(),
         float(config.resolved_stream_reopen_delta()),
-    ])
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -112,11 +110,14 @@ def _new_entry(leaf: Leaf, parent: TreeNode | None, slot: int,
             "open": open_, "closed_dist": None}
 
 
-def _attach(root_holder: list, entry: dict, node: TreeNode) -> None:
-    if entry["parent"] is None:
-        root_holder[0] = node
-    else:
-        entry["parent"].children[entry["slot"]] = node
+def _sync_leaf(leaf: Leaf, totals: np.ndarray) -> None:
+    """Refresh a frontier leaf from fresh global totals; a leaf that has
+    seen no records keeps the label it was created with."""
+    n = int(totals.sum())
+    if n > 0:
+        leaf.label = int(np.argmax(totals))
+    leaf.n_records = n
+    leaf.class_counts = totals.astype(np.int64)
 
 
 def _route_to_frontier(root: TreeNode, entries: list,
@@ -208,23 +209,33 @@ def _globalize(comm: Communicator, entries: list, local_counts: list,
 # ----------------------------------------------------------------------
 
 
+def _category_matrix(sketch: np.ndarray, n_values: int,
+                     n_classes: int) -> np.ndarray:
+    """A categorical attribute's (n_values, c) count matrix, read off its
+    global sketch (one row per occurring value code)."""
+    rows = sketch_entries(sketch)
+    matrix = np.zeros((n_values, n_classes), dtype=np.int64)
+    matrix[np.rint(rows[:, 0]).astype(np.int64)] = \
+        np.rint(rows[:, 1:]).astype(np.int64)
+    return matrix
+
+
 def _best_from_sketches(node_sketches: list, totals: np.ndarray,
-                        schema: Schema, config: InductionConfig):
-    """Best candidate split of one node, scored from its global sketches.
+                        schema: Schema, config: InductionConfig) -> np.ndarray:
+    """Best ``[score, attr, third]`` candidate split of one node, scored
+    from its global sketches.
 
     Reproduces the batch FindSplit semantics exactly when the sketches
     are lossless: continuous candidates are the distinct values with a
     strictly smaller predecessor, the threshold is the value itself, the
     left partition counts everything strictly below it; candidates are
     ordered by the canonical (score, attribute, threshold) key.
-    Returns ``(candidate_row, categorical_state)``.
     """
     best = np.array(NO_CANDIDATE, dtype=np.float64)
-    best_cat: tuple[np.ndarray, np.ndarray | None] | None = None
     totals_f = totals.astype(np.float64)
     for attr, spec in enumerate(schema):
-        rows = sketch_entries(node_sketches[attr])
         if spec.is_continuous:
+            rows = sketch_entries(node_sketches[attr])
             if len(rows) < 2:
                 continue
             left = np.cumsum(rows[:, 1:], axis=0)[:-1]
@@ -234,25 +245,19 @@ def _best_from_sketches(node_sketches: list, totals: np.ndarray,
             tie = np.flatnonzero(scores == smin)
             j = tie[np.argmin(thr[tie])]
             cand = np.array([scores[j], float(attr), thr[j]])
-            cat = None
         else:
-            matrix = np.zeros((spec.n_values, len(totals)), dtype=np.int64)
-            codes = np.rint(rows[:, 0]).astype(np.int64)
-            matrix[codes] = np.rint(rows[:, 1:]).astype(np.int64)
             score, mask = best_categorical_split(
-                matrix, config.criterion,
+                _category_matrix(node_sketches[attr], spec.n_values,
+                                 len(totals)),
+                config.criterion,
                 binary_subsets=config.categorical_binary_subsets,
                 exhaustive_limit=config.subset_exhaustive_limit,
             )
             third = encode_mask(mask) if mask is not None else 0.0
             cand = np.array([score, float(attr), third])
-            cat = (matrix, mask)
-        if not np.isfinite(cand[0]):
-            continue
-        if candidate_beats(cand, best):
+        if np.isfinite(cand[0]) and candidate_beats(cand, best):
             best = cand
-            best_cat = cat
-    return best, best_cat
+    return best
 
 
 # ----------------------------------------------------------------------
@@ -260,53 +265,11 @@ def _best_from_sketches(node_sketches: list, totals: np.ndarray,
 # ----------------------------------------------------------------------
 
 
-def _terminal(depth: int, totals: np.ndarray, config: InductionConfig) -> bool:
-    """The batch termination rules: purity, minimum mass, depth cap."""
-    n = int(totals.sum())
-    return (
-        int(totals.max()) == n
-        or n < config.min_split_records
-        or (config.max_depth is not None and depth >= config.max_depth)
-    )
-
-
-def _decode_candidate(best: np.ndarray, node_sketches: list,
-                      n_classes: int, schema: Schema,
-                      config: InductionConfig):
-    """Rebuild a winning candidate's categorical state on any rank.
-
-    Split scoring is partitioned across ranks and shared as packed
-    ``[score, attr, third]`` rows, so the non-scoring ranks reconstruct
-    the ``(matrix, mask)`` pair a categorical split needs: the count
-    matrix derives from the global sketch, and the third slot carries
-    the :func:`~repro.core.splits.encode_mask` subset code (0.0 for the
-    multiway split).  Returns ``None`` for continuous attributes.
-    """
-    attr = int(best[1])
-    spec = schema[attr]
-    if spec.is_continuous:
-        return None
-    rows = sketch_entries(node_sketches[attr])
-    matrix = np.zeros((spec.n_values, n_classes), dtype=np.int64)
-    codes = np.rint(rows[:, 0]).astype(np.int64)
-    matrix[codes] = np.rint(rows[:, 1:]).astype(np.int64)
-    if not config.categorical_binary_subsets or best[2] == 0.0:
-        mask = None
-    else:
-        bits = int(best[2])
-        mask = np.array([(bits >> i) & 1 for i in range(spec.n_values)],
-                        dtype=bool)
-    return matrix, mask
-
-
 def _close_leaf(entry: dict, totals: np.ndarray) -> None:
-    leaf = entry["leaf"]
+    _sync_leaf(entry["leaf"], totals)
     n = int(totals.sum())
     if n > 0:
-        leaf.label = int(np.argmax(totals))
         entry["closed_dist"] = totals.astype(np.float64) / n
-    leaf.n_records = n
-    leaf.class_counts = totals.astype(np.int64)
     entry["open"] = False
 
 
@@ -350,13 +313,15 @@ def _child_sketches(state: "_StreamState", idx: np.ndarray,
     return out
 
 
-def _split_entry(fid: int, best: np.ndarray, best_cat, totals: np.ndarray,
+def _split_entry(fid: int, best: np.ndarray, totals: np.ndarray,
                  node_sketches: list, state: "_StreamState",
                  config: InductionConfig, finalize: bool) -> None:
-    """Replace leaf ``fid`` with a split node; re-route its retained
-    records; register its children as new frontier leaves with sketches
-    rebuilt from the exact retained data.
+    """Replace leaf ``fid`` with the split node of candidate ``best``;
+    re-route its retained records; register its children as new frontier
+    leaves with sketches rebuilt from the exact retained data.
 
+    Child class counts come from the global sketches (every rank derives
+    the same), so any rank can apply a candidate another rank scored.
     During finalize the child totals are final, so a child the batch
     rules would close next round (pure, under-mass, at the depth cap)
     closes *now* — identical labels and reopen state, but it never pays
@@ -365,32 +330,27 @@ def _split_entry(fid: int, best: np.ndarray, best_cat, totals: np.ndarray,
     attr = int(best[1])
     spec = state.schema[attr]
     depth = entry["depth"]
-    n = int(totals.sum())
+    layout = None
     if spec.is_continuous:
-        thr = float(best[2])
         rows = sketch_entries(node_sketches[attr])
-        below = rows[:, 0] < thr
+        below = rows[:, 0] < float(best[2])
         left = np.rint(rows[below, 1:].sum(axis=0)).astype(np.int64)
-        child_counts = [left, totals.astype(np.int64) - left]
-        node: TreeNode = ContinuousSplit(
-            attr_index=attr, threshold=thr, n_records=n,
-            class_counts=totals.astype(np.int64), depth=depth,
-            children=[None, None],
-        )
-        n_children = 2
+        child_counts = np.stack([left, totals.astype(np.int64) - left])
     else:
-        matrix, mask = best_cat
-        v2c, n_children, default = categorical_children_layout(matrix, mask)
-        child_counts = [
-            matrix[v2c == ci].sum(axis=0).astype(np.int64)
-            for ci in range(n_children)
-        ]
-        node = CategoricalSplit(
-            attr_index=attr, value_to_child=v2c, n_records=n,
-            class_counts=totals.astype(np.int64), depth=depth,
-            children=[None] * n_children, default_child=default,
-        )
-    _attach(state.root_holder, entry, node)
+        matrix = _category_matrix(node_sketches[attr], spec.n_values,
+                                  state.n_classes)
+        # the third slot is the encode_mask subset code (0.0: multiway)
+        mask = decode_mask(best[2], spec.n_values) \
+            if config.categorical_binary_subsets and best[2] != 0.0 \
+            else None
+        layout = categorical_children_layout(matrix, mask)
+        child_counts = np.stack([
+            matrix[layout[0] == ci].sum(axis=0).astype(np.int64)
+            for ci in range(layout[1])
+        ])
+    node = split_node(state.schema, best, totals, depth, layout)
+    n_children = len(node.children)
+    attach(state.root_holder, entry["parent"], entry["slot"], node)
     entry["leaf"] = None
     entry["open"] = False
     entry["closed_dist"] = None
@@ -401,29 +361,25 @@ def _split_entry(fid: int, best: np.ndarray, best_cat, totals: np.ndarray,
         else np.empty(0, dtype=np.int64)
     base = len(state.entries)
     state.node_of[idx] = base + child_of
-    parent_counts = totals
-    wanted: list[bool] = []
     local_cc = np.zeros((n_children, state.n_classes), dtype=np.int64)
     np.add.at(local_cc, (child_of, state.labels[idx]), 1)
+    # an empty child (possible only with lossy sketches) closes
+    # immediately, inheriting the parent majority like the batch path; a
+    # finalize child the termination rules would close next round closes
+    # now, with the same label and reopen distribution
+    empty = child_counts.sum(axis=1) == 0
+    closing = empty | (finalize & terminal_nodes(
+        child_counts, np.full(n_children, depth + 1), config))
     for ci in range(n_children):
-        cc = child_counts[ci]
-        cn = int(cc.sum())
-        empty = cn == 0
-        label = int(np.argmax(parent_counts)) if empty else int(np.argmax(cc))
-        leaf = Leaf(label=label, n_records=cn,
-                    class_counts=cc.copy(), depth=depth + 1)
+        leaf = new_leaf(child_counts[ci], depth + 1, node)
         node.children[ci] = leaf
-        # an empty child (possible only with lossy sketches) closes
-        # immediately, inheriting the parent majority like the batch
-        # path; a finalize child the termination rules would close next
-        # round closes now, with the same label and reopen distribution
-        closed_now = empty or (finalize and _terminal(depth + 1, cc, config))
         state.entries.append(
-            _new_entry(leaf, node, ci, depth + 1, open_=not closed_now))
-        if closed_now and not empty:
-            state.entries[-1]["closed_dist"] = cc.astype(np.float64) / cn
+            _new_entry(leaf, node, ci, depth + 1, open_=not closing[ci]))
+        if closing[ci] and not empty[ci]:
+            state.entries[-1]["closed_dist"] = \
+                child_counts[ci].astype(np.float64) / leaf.n_records
         state.local_counts.append(local_cc[ci].copy())
-        wanted.append(not closed_now)
+    wanted = (~closing).tolist()
     if any(wanted):
         sketches = _child_sketches(state, idx, child_of, n_children, wanted)
         for ci in range(n_children):
@@ -439,9 +395,7 @@ class _StreamState:
         self.n_attrs = len(schema)
         self.n_classes = schema.n_classes
         self.capacity = capacity
-        root_leaf = Leaf(label=0, n_records=0,
-                         class_counts=np.zeros(self.n_classes,
-                                               dtype=np.int64), depth=0)
+        root_leaf = new_leaf(np.zeros(self.n_classes), 0, None)
         self.root_holder: list[TreeNode] = [root_leaf]
         self.entries: list[dict] = [_new_entry(root_leaf, None, 0, 0, True)]
         self.local_counts: list[np.ndarray] = [
@@ -458,19 +412,13 @@ class _StreamState:
                 for _ in range(self.n_attrs)]
         }
 
-    def rebuild_sketches(self) -> None:
-        """Deterministically rebuild every open node's local sketches
-        from the retained records (resume, reopen)."""
-        self.sketches = {}
-        for fid, entry in enumerate(self.entries):
-            if not entry["open"]:
-                continue
-            idx = np.flatnonzero(self.node_of == fid)
-            self.sketches[fid] = [
-                build_sketch(self.columns[a][idx], self.labels[idx],
+    def node_sketches(self, fid: int) -> list[np.ndarray]:
+        """Deterministically rebuild frontier node ``fid``'s local
+        sketches from the retained records (resume, reopen)."""
+        idx = np.flatnonzero(self.node_of == fid)
+        return [build_sketch(self.columns[a][idx], self.labels[idx],
                              self.n_classes, self.capacity)
-                for a in range(self.n_attrs)
-            ]
+                for a in range(self.n_attrs)]
 
     def ingest(self, block: Dataset) -> None:
         """Route one epoch block into the frontier, extending the
@@ -517,25 +465,15 @@ def _refresh_frontier(state: _StreamState, g_counts: np.ndarray,
         totals = g_counts[fid]
         n = int(totals.sum())
         if entry["open"]:
-            if n > 0:
-                leaf.label = int(np.argmax(totals))
-            leaf.n_records = n
-            leaf.class_counts = totals.astype(np.int64)
+            _sync_leaf(leaf, totals)
         elif entry["closed_dist"] is not None and n > 0:
             dist = totals.astype(np.float64) / n
             shift = 0.5 * float(np.abs(dist - entry["closed_dist"]).sum())
             if shift > reopen_delta:
                 entry["open"] = True
                 entry["closed_dist"] = None
-                leaf.label = int(np.argmax(totals))
-                leaf.n_records = n
-                leaf.class_counts = totals.astype(np.int64)
-                idx = np.flatnonzero(state.node_of == fid)
-                state.sketches[fid] = [
-                    build_sketch(state.columns[a][idx], state.labels[idx],
-                                 state.n_classes, state.capacity)
-                    for a in range(state.n_attrs)
-                ]
+                _sync_leaf(leaf, totals)
+                state.sketches[fid] = state.node_sketches(fid)
 
 
 def _grow_rounds(comm: Communicator, state: _StreamState,
@@ -544,12 +482,12 @@ def _grow_rounds(comm: Communicator, state: _StreamState,
     """Globalize, then split every qualifying frontier node; repeat on
     the fresh children until a round makes no split.
 
-    ``finalize`` applies the batch termination rules (purity, minimum
-    records, depth cap, minimum improvement) and closes failing nodes —
-    a finalize run is exactly the batch level loop replayed over the
-    sketches.  Mid-stream (``finalize=False``) only nodes whose global
-    mass reached ``grow_threshold`` are examined, and a node that fails
-    stays open for future chunks.
+    ``finalize`` applies the batch driver's growth rules
+    (:mod:`repro.core.growth`: purity, minimum records, depth cap,
+    minimum improvement) and closes failing nodes.  Mid-stream
+    (``finalize=False``) only nodes whose global mass reached
+    ``grow_threshold`` are examined, and a node that fails stays open
+    for future chunks.
     """
     growing = finalize or grow_threshold > 0
     # at finalize every leaf's global count is current (the last epoch
@@ -570,20 +508,21 @@ def _grow_rounds(comm: Communicator, state: _StreamState,
                 # the class totals (leaf refresh + reopen checks); the
                 # frontier sketches stay local until end of stream
                 return
-            to_score: list[int] = []
-            for fid in [f for f, e in enumerate(state.entries) if e["open"]]:
-                entry = state.entries[fid]
-                if fid not in g_sk:
-                    continue        # reopened this round: sketch next round
-                totals = g_counts[fid]
-                n = int(totals.sum())
-                if not finalize and n < max(grow_threshold,
-                                            config.min_split_records):
-                    continue
-                if _terminal(entry["depth"], totals, config):
-                    _close_leaf(entry, totals)
-                else:
-                    to_score.append(fid)
+            # reopened this round: no global sketch yet, grows next round
+            fids = [fid for fid, e in enumerate(state.entries)
+                    if e["open"] and fid in g_sk]
+            if not finalize:
+                floor = max(grow_threshold, config.min_split_records)
+                fids = [fid for fid in fids
+                        if int(g_counts[fid].sum()) >= floor]
+            if not fids:
+                return
+            depth = np.array([state.entries[fid]["depth"] for fid in fids],
+                             dtype=np.int64)
+            terminal = terminal_nodes(g_counts[fids], depth, config)
+            for fid in np.asarray(fids)[terminal]:
+                _close_leaf(state.entries[fid], g_counts[fid])
+            to_score = [fid for fid, t in zip(fids, terminal) if not t]
             if not to_score:
                 return
             # scoring reads only globalized state, so each rank scores a
@@ -593,28 +532,17 @@ def _grow_rounds(comm: Communicator, state: _StreamState,
             cand = pack_candidates(len(to_score))
             for j, fid in enumerate(to_score):
                 if j % comm.size == comm.rank:
-                    cand[j], _ = _best_from_sketches(
+                    cand[j] = _best_from_sketches(
                         g_sk[fid], g_counts[fid], state.schema, config)
             cand = comm.allreduce(cand, BEST_SPLIT)
-            did_split = False
+            ok = accepted_splits(g_counts[to_score], cand, config)
             for j, fid in enumerate(to_score):
-                entry = state.entries[fid]
-                totals = g_counts[fid]
-                best = cand[j]
-                parent_imp = float(impurity(totals.astype(np.float64),
-                                            config.criterion))
-                ok = bool(np.isfinite(best[0])) and \
-                    parent_imp - float(best[0]) >= config.min_improvement
-                if ok:
-                    best_cat = _decode_candidate(
-                        best, g_sk[fid], state.n_classes, state.schema,
-                        config)
-                    _split_entry(fid, best, best_cat, totals, g_sk[fid],
+                if ok[j]:
+                    _split_entry(fid, cand[j], g_counts[fid], g_sk[fid],
                                  state, config, finalize)
-                    did_split = True
                 elif finalize:
-                    _close_leaf(entry, totals)
-            if not did_split:
+                    _close_leaf(state.entries[fid], g_counts[fid])
+            if not ok.any():
                 return
 
 
@@ -626,26 +554,22 @@ def _grow_rounds(comm: Communicator, state: _StreamState,
 def _save_cut(comm: Communicator, ckpt: LevelCheckpointer, epoch: int,
               state: _StreamState, cursor: int, n_seen: int,
               config: InductionConfig) -> None:
-    from ..core.induction import _rank_extras
-
     rank_payload = {
         "columns": [col.copy() for col in state.columns],
         "labels": state.labels.copy(),
         "node_of": state.node_of.copy(),
         "local_counts": [c.copy() for c in state.local_counts],
-        **_rank_extras(comm),
     }
     shared_payload = {
-        "algo": _CKPT_ALGO,
-        "schema": _schema_fingerprint(state.schema),
-        "config": _config_fingerprint(config),
         "tree": (state.root_holder[0], state.entries),
         "cursor": int(cursor),
         "n_seen": int(n_seen),
     }
-    ckpt.save(comm, epoch, rank_payload, shared_payload,
-              meta={"algo": _CKPT_ALGO, "epoch": epoch,
-                    "cursor": int(cursor), "n_seen": int(n_seen)})
+    save_cut(comm, ckpt, epoch, _CKPT_ALGO, state.schema,
+             config_fingerprint(config, _shape_extras(config)),
+             rank_payload, shared_payload,
+             meta={"epoch": epoch, "cursor": int(cursor),
+                   "n_seen": int(n_seen)})
 
 
 def _resume_cut(comm: Communicator, source: str, schema: Schema,
@@ -656,39 +580,22 @@ def _resume_cut(comm: Communicator, source: str, schema: Schema,
     re-blocked contiguously in old-rank order, and sketches are rebuilt
     deterministically from the exact retained data either way.
     """
-    from ..core.induction import _restore_rank_extras
-
-    loaded = LoadedCheckpoint.open(source)
-    shared = loaded.shared_payload()
-    if shared.get("algo") != _CKPT_ALGO:
-        raise CheckpointError(
-            f"checkpoint {loaded.manifest_path!r} was not written by the "
-            f"streaming driver (algo={shared.get('algo')!r})"
-        )
-    if shared["schema"] != _schema_fingerprint(schema):
-        raise CheckpointError(
-            "checkpoint schema does not match the stream's; resume needs "
-            "the same record schema"
-        )
-    if shared["config"] != _config_fingerprint(config):
-        raise CheckpointError(
-            "checkpoint was written under different streaming settings; "
-            "resume with the original InductionConfig"
-        )
-
+    loaded, shared = open_cut(source, _CKPT_ALGO, schema,
+                              config_fingerprint(config,
+                                                 _shape_extras(config)))
     state = _StreamState(schema, capacity)
     root, entries = shared["tree"]
     state.root_holder[0] = root
     state.entries = entries
 
     payloads = loaded.all_rank_payloads()
+    restore_rank_extras(comm, loaded, payloads)
     if loaded.n_ranks == comm.size:
         mine = payloads[comm.rank]
         state.columns = [np.asarray(col) for col in mine["columns"]]
         state.labels = np.asarray(mine["labels"])
         state.node_of = np.asarray(mine["node_of"])
         state.local_counts = [np.asarray(c) for c in mine["local_counts"]]
-        _restore_rank_extras(comm, mine)
     else:
         all_labels = np.concatenate([p["labels"] for p in payloads])
         all_node_of = np.concatenate([p["node_of"] for p in payloads])
@@ -706,7 +613,8 @@ def _resume_cut(comm: Communicator, source: str, schema: Schema,
         if hi > lo:
             np.add.at(counts, (state.node_of, state.labels), 1)
         state.local_counts = [counts[fid] for fid in range(len(entries))]
-    state.rebuild_sketches()
+    state.sketches = {fid: state.node_sketches(fid)
+                      for fid, entry in enumerate(entries) if entry["open"]}
     return state, loaded.level, int(shared["cursor"]), int(shared["n_seen"])
 
 
@@ -734,10 +642,7 @@ def stream_induce_worker(
     restarts at 0) instead of a continuation of the checkpointed stream.
     """
     config = config or InductionConfig()
-    if dataset.n_records == 0:
-        raise ValueError("cannot stream-induce a tree from an empty dataset")
-    if len(dataset.schema) == 0:
-        raise ValueError("dataset has no attributes")
+    check_trainable(dataset, "stream-induce")
     schema = dataset.schema
     chunk_records = config.resolved_stream_chunk_records()
     capacity = config.resolved_sketch_size()
