@@ -28,7 +28,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.config import InductionConfig
-from ..core.criteria import best_categorical_split, impurity, split_score_from_left
+from ..core.criteria import best_categorical_split, split_score_from_left
+from ..core.growth import (
+    accepted_splits,
+    attach,
+    check_trainable,
+    new_leaf,
+    split_node,
+    terminal_nodes,
+)
 from ..core.splits import (
     candidate_beats,
     categorical_children_layout,
@@ -36,13 +44,7 @@ from ..core.splits import (
     pack_candidates,
 )
 from ..datagen.schema import Dataset
-from ..tree.model import (
-    CategoricalSplit,
-    ContinuousSplit,
-    DecisionTree,
-    Leaf,
-    TreeNode,
-)
+from ..tree.model import ContinuousSplit, DecisionTree, TreeNode
 
 __all__ = ["SliqClassifier", "SliqStats"]
 
@@ -70,8 +72,7 @@ class SliqClassifier:
 
     def fit(self, dataset: Dataset) -> tuple[DecisionTree, SliqStats]:
         """Induce the decision tree; returns (tree, cost profile)."""
-        if dataset.n_records == 0:
-            raise ValueError("cannot induce a tree from an empty dataset")
+        check_trainable(dataset, "induce")
         config = self.config
         schema = dataset.schema
         n = dataset.n_records
@@ -97,13 +98,6 @@ class SliqClassifier:
         stats.class_list_bytes = int(klass.nbytes + leaf_of.nbytes)
 
         root_holder: list[TreeNode | None] = [None]
-
-        def attach(node: TreeNode, parent: TreeNode | None, slot: int) -> None:
-            if parent is None:
-                root_holder[0] = node
-            else:
-                parent.children[slot] = node
-
         # pending[k] = (parent, slot, depth) of active leaf k
         pending: list[tuple[TreeNode | None, int, int]] = [(None, 0, 0)]
 
@@ -117,13 +111,8 @@ class SliqClassifier:
                 leaf_of[live] * n_classes + klass[live],
                 minlength=m * n_classes,
             ).reshape(m, n_classes)
-            n_node = totals.sum(axis=1)
             depth_of = np.array([d for (_, _, d) in pending], dtype=np.int64)
-            terminal = (totals.max(axis=1) == n_node) | (
-                n_node < config.min_split_records
-            )
-            if config.max_depth is not None:
-                terminal |= depth_of >= config.max_depth
+            terminal = terminal_nodes(totals, depth_of, config)
 
             best = pack_candidates(m)
             cat_state: dict[tuple[int, int], tuple] = {}
@@ -132,13 +121,7 @@ class SliqClassifier:
                     sorted_lists, schema, klass, leaf_of, totals, ~terminal,
                     config, stats,
                 )
-
-            parent_imp = impurity(totals, config.criterion)
-            split_ok = (
-                ~terminal
-                & np.isfinite(best[:, 0])
-                & (parent_imp - best[:, 0] >= config.min_improvement)
-            )
+            split_ok = ~terminal & accepted_splits(totals, best, config)
 
             # build nodes; assign next-level leaf ids
             child_base = np.zeros(m, dtype=np.int64)
@@ -147,49 +130,31 @@ class SliqClassifier:
             layouts: dict[int, np.ndarray] = {}
             new_pending: list[tuple[TreeNode | None, int, int]] = []
             n_next = 0
-            freeze = np.zeros(m, dtype=bool)
             for k in range(m):
                 parent, slot, depth = pending[k]
                 if not split_ok[k]:
-                    attach(
-                        Leaf(label=int(np.argmax(totals[k])),
-                             n_records=int(n_node[k]),
-                             class_counts=totals[k].copy(), depth=depth),
-                        parent, slot,
-                    )
-                    freeze[k] = True
+                    attach(root_holder, parent, slot,
+                           new_leaf(totals[k], depth, parent))
                     continue
                 attr = int(best[k, 1])
+                layout = None
+                if not schema[attr].is_continuous:
+                    layout = categorical_children_layout(*cat_state[(attr, k)])
+                node = split_node(schema, best[k], totals[k], depth, layout)
+                attach(root_holder, parent, slot, node)
                 winner_attr[k] = attr
                 child_base[k] = n_next
-                if schema[attr].is_continuous:
-                    threshold[k] = best[k, 2]
-                    node: TreeNode = ContinuousSplit(
-                        attr_index=attr, threshold=float(best[k, 2]),
-                        n_records=int(n_node[k]),
-                        class_counts=totals[k].copy(), depth=depth,
-                        children=[None, None],
-                    )
-                    n_children = 2
+                if isinstance(node, ContinuousSplit):
+                    threshold[k] = node.threshold
                 else:
-                    matrix, mask = cat_state[(attr, k)]
-                    v2c, n_children, default = categorical_children_layout(
-                        matrix, mask
-                    )
-                    layouts[k] = v2c.astype(np.int64)
-                    node = CategoricalSplit(
-                        attr_index=attr, value_to_child=v2c,
-                        n_records=int(n_node[k]),
-                        class_counts=totals[k].copy(), depth=depth,
-                        children=[None] * n_children, default_child=default,
-                    )
-                attach(node, parent, slot)
+                    layouts[k] = node.value_to_child.astype(np.int64)
+                n_children = len(node.children)
                 for c in range(n_children):
                     new_pending.append((node, c, depth + 1))
                 n_next += n_children
 
             # the SLIQ splitting phase: pure class-list update
-            new_leaf = np.full(n, -1, dtype=np.int64)
+            next_leaf = np.full(n, -1, dtype=np.int64)
             for k in np.nonzero(split_ok)[0]:
                 attr = winner_attr[k]
                 values, rids = sorted_lists[attr]
@@ -200,8 +165,8 @@ class SliqClassifier:
                     child = (values[in_node] >= threshold[k]).astype(np.int64)
                 else:
                     child = layouts[k][values[in_node]]
-                new_leaf[rids[in_node]] = child_base[k] + child
-            leaf_of = new_leaf
+                next_leaf[rids[in_node]] = child_base[k] + child
+            leaf_of = next_leaf
             pending = new_pending
 
         assert root_holder[0] is not None
@@ -212,7 +177,7 @@ class SliqClassifier:
     def _find_splits(self, sorted_lists, schema, klass, leaf_of, totals,
                      candidate_nodes, config, stats):
         """One full scan of every attribute list (the SLIQ level scan)."""
-        m, n_classes = totals.shape
+        m = len(totals)
         best = pack_candidates(m)
         cat_state: dict[tuple[int, int], tuple] = {}
 
@@ -227,27 +192,38 @@ class SliqClassifier:
                     totals, candidate_nodes, a, config,
                 )
             else:
-                rows = pack_candidates(m)
-                codes = values[live]
-                labels = klass[rids[live]]
-                matrix = np.bincount(
-                    (nodes[live] * spec.n_values + codes) * n_classes
-                    + labels,
-                    minlength=m * spec.n_values * n_classes,
-                ).reshape(m, spec.n_values, n_classes)
-                for k in np.nonzero(candidate_nodes)[0]:
-                    score, mask = best_categorical_split(
-                        matrix[k], config.criterion,
-                        binary_subsets=config.categorical_binary_subsets,
-                        exhaustive_limit=config.subset_exhaustive_limit,
-                    )
-                    if np.isfinite(score):
-                        code = encode_mask(mask) if mask is not None else 0.0
-                        rows[k] = (score, float(a), code)
-                        cat_state[(a, int(k))] = (matrix[k], mask)
+                rows = self._scan_categorical(
+                    values[live], nodes[live], klass[rids[live]],
+                    spec.n_values, totals, candidate_nodes, a, config,
+                    cat_state,
+                )
             take = candidate_beats(rows, best)
             best = np.where(take[:, None], rows, best)
         return best, cat_state
+
+    @staticmethod
+    def _scan_categorical(codes, nodes, labels, n_values, totals,
+                          candidate_nodes, attr_index, config, cat_state):
+        """Per-node best categorical candidate from one list scan; each
+        node's (count matrix, subset mask) goes into
+        ``cat_state[(attr_index, node)]`` for its child layout."""
+        m, n_classes = totals.shape
+        rows = pack_candidates(m)
+        matrix = np.bincount(
+            (nodes * n_values + codes) * n_classes + labels,
+            minlength=m * n_values * n_classes,
+        ).reshape(m, n_values, n_classes)
+        for k in np.nonzero(candidate_nodes)[0]:
+            score, mask = best_categorical_split(
+                matrix[k], config.criterion,
+                binary_subsets=config.categorical_binary_subsets,
+                exhaustive_limit=config.subset_exhaustive_limit,
+            )
+            if np.isfinite(score):
+                code = encode_mask(mask) if mask is not None else 0.0
+                rows[k] = (score, float(attr_index), code)
+                cat_state[(attr_index, int(k))] = (matrix[k], mask)
+        return rows
 
     @staticmethod
     def _scan_continuous(values, nodes, labels, totals, candidate_nodes,

@@ -30,7 +30,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.config import InductionConfig
-from ..core.criteria import impurity, split_score_from_left
+from ..core.criteria import split_score_from_left
+from ..core.growth import (
+    accepted_splits,
+    attach,
+    check_trainable,
+    new_leaf,
+    split_node,
+    terminal_nodes,
+)
 from ..core.splits import (
     NO_CANDIDATE,
     candidate_beats,
@@ -38,13 +46,7 @@ from ..core.splits import (
     encode_mask,
 )
 from ..datagen.schema import Dataset
-from ..tree.model import (
-    CategoricalSplit,
-    ContinuousSplit,
-    DecisionTree,
-    Leaf,
-    TreeNode,
-)
+from ..tree.model import ContinuousSplit, DecisionTree, TreeNode
 from .serial_reference import best_split_for_counts
 
 __all__ = ["SprintClassifier", "SprintRunStats"]
@@ -107,8 +109,7 @@ class SprintClassifier:
 
     def fit(self, dataset: Dataset) -> tuple[DecisionTree, SprintRunStats]:
         """Induce the tree; returns it plus measured splitting-phase IO."""
-        if dataset.n_records == 0:
-            raise ValueError("cannot induce a tree from an empty dataset")
+        check_trainable(dataset, "induce")
         config = self.config
         schema = dataset.schema
         n_classes = schema.n_classes
@@ -133,13 +134,6 @@ class SprintClassifier:
                 )
 
         root_holder: list[TreeNode | None] = [None]
-
-        def attach(node: TreeNode, parent: TreeNode | None, slot: int) -> None:
-            if parent is None:
-                root_holder[0] = node
-            else:
-                parent.children[slot] = node
-
         queue: list[_NodeLists] = [
             _NodeLists(root_lists, depth=0, parent=None, slot=0)
         ]
@@ -148,29 +142,19 @@ class SprintClassifier:
         while queue:
             work = queue.pop(0)
             counts = np.bincount(work.per_attr[0][2], minlength=n_classes)
-            n = work.n_records
-            terminal = (
-                int(counts.max()) == n
-                or n < config.min_split_records
-                or (config.max_depth is not None
-                    and work.depth >= config.max_depth)
-            )
-            if not terminal:
-                winner = self._find_split(work, counts, schema, config)
-            else:
-                winner = None
+            terminal = terminal_nodes(counts[None], np.array([work.depth]),
+                                      config)[0]
+            winner = None if terminal \
+                else self._find_split(work, counts, schema, config)
             if winner is None:
-                attach(
-                    Leaf(label=int(np.argmax(counts)), n_records=n,
-                         class_counts=counts.copy(), depth=work.depth),
-                    work.parent, work.slot,
-                )
+                attach(root_holder, work.parent, work.slot,
+                       new_leaf(counts, work.depth, work.parent))
                 continue
 
-            node, child_of_winner, n_children = winner
-            attach(node, work.parent, work.slot)
+            node, child_of_winner = winner
+            attach(root_holder, work.parent, work.slot, node)
             children = self._perform_split(
-                work, node.attr_index, child_of_winner, n_children,
+                work, node.attr_index, child_of_winner, len(node.children),
                 stats, level_acc,
             )
             for c, child_lists in enumerate(children):
@@ -191,8 +175,8 @@ class SprintClassifier:
                     config: InductionConfig):
         """FindSplit over the node's presorted lists (no re-sorting).
 
-        Returns ``(tree node, winner-list child assignment, n_children)``
-        or None when the node must become a leaf.
+        Returns ``(tree node, winner-list child assignment)`` or None
+        when the node must become a leaf.
         """
         n = work.n_records
         n_classes = len(counts)
@@ -243,32 +227,18 @@ class SprintClassifier:
                     best_matrix = matrix
                     best_mask = mask
 
-        score = float(best[0])
-        parent_imp = float(impurity(counts, config.criterion))
-        if not np.isfinite(score) or parent_imp - score < config.min_improvement:
+        if not accepted_splits(counts[None], best[None], config)[0]:
             return None
 
-        values, _rids, _labels = work.per_attr[best_attr]
-        if schema[best_attr].is_continuous:
-            threshold = float(best[2])
-            node: TreeNode = ContinuousSplit(
-                attr_index=best_attr, threshold=threshold, n_records=n,
-                class_counts=counts.copy(), depth=work.depth,
-                children=[None, None],
-            )
-            child_of_winner = (values >= threshold).astype(np.int64)
-            return node, child_of_winner, 2
-        value_to_child, n_children, default = categorical_children_layout(
-            best_matrix, best_mask
-        )
-        node = CategoricalSplit(
-            attr_index=best_attr,
-            value_to_child=value_to_child, n_records=n,
-            class_counts=counts.copy(), depth=work.depth,
-            children=[None] * n_children, default_child=default,
-        )
-        child_of_winner = value_to_child[values].astype(np.int64)
-        return node, child_of_winner, n_children
+        values = work.per_attr[best_attr][0]
+        layout = None if best_matrix is None \
+            else categorical_children_layout(best_matrix, best_mask)
+        node = split_node(schema, best, counts, work.depth, layout)
+        if isinstance(node, ContinuousSplit):
+            child_of_winner = (values >= node.threshold).astype(np.int64)
+        else:
+            child_of_winner = node.value_to_child[values].astype(np.int64)
+        return node, child_of_winner
 
     # ------------------------------------------------------------------
 

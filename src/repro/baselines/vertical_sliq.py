@@ -23,23 +23,23 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.config import InductionConfig
-from ..core.criteria import best_categorical_split, impurity
+from ..core.growth import (
+    accepted_splits,
+    attach,
+    check_trainable,
+    new_leaf,
+    split_node,
+    terminal_nodes,
+)
 from ..core.splits import (
     BEST_SPLIT,
     candidate_beats,
     categorical_children_layout,
-    encode_mask,
     pack_candidates,
 )
 from ..datagen.schema import Dataset
 from ..runtime import Communicator, reduction, run_spmd
-from ..tree.model import (
-    CategoricalSplit,
-    ContinuousSplit,
-    DecisionTree,
-    Leaf,
-    TreeNode,
-)
+from ..tree.model import ContinuousSplit, DecisionTree, TreeNode
 from .sliq import SliqClassifier
 
 __all__ = ["VerticalSliqClassifier", "vertical_sliq_worker"]
@@ -56,8 +56,7 @@ def vertical_sliq_worker(
     (labels + current leaf of all N records) is replicated everywhere.
     """
     config = config or InductionConfig()
-    if dataset.n_records == 0:
-        raise ValueError("cannot induce a tree from an empty dataset")
+    check_trainable(dataset, "induce")
     schema = dataset.schema
     n = dataset.n_records
     n_classes = schema.n_classes
@@ -85,13 +84,6 @@ def vertical_sliq_worker(
                              int(klass.nbytes + leaf_of.nbytes))
 
     root_holder: list[TreeNode | None] = [None]
-
-    def attach(node: TreeNode, parent: TreeNode | None, slot: int) -> None:
-        if parent is None:
-            root_holder[0] = node
-        else:
-            parent.children[slot] = node
-
     pending: list[tuple[TreeNode | None, int, int]] = [(None, 0, 0)]
 
     while pending:
@@ -102,14 +94,8 @@ def vertical_sliq_worker(
             minlength=m * n_classes,
         ).reshape(m, n_classes)
         comm.perf.add_compute("scan", int(np.count_nonzero(live)))
-        n_node = totals.sum(axis=1)
         depth_of = np.array([d for (_, _, d) in pending], dtype=np.int64)
-        terminal = (totals.max(axis=1) == n_node) | (
-            n_node < config.min_split_records
-        )
-        if config.max_depth is not None:
-            terminal |= depth_of >= config.max_depth
-        candidate_nodes = ~terminal
+        candidate_nodes = ~terminal_nodes(totals, depth_of, config)
 
         # ---- split determination: my attributes only ----------------------
         local_best = pack_candidates(m)
@@ -126,36 +112,18 @@ def vertical_sliq_worker(
                         totals, candidate_nodes, a, config,
                     )
                 else:
-                    rows = pack_candidates(m)
-                    matrix = np.bincount(
-                        (nodes[live_e] * schema[a].n_values
-                         + values[live_e]) * n_classes
-                        + klass[rids[live_e]],
-                        minlength=m * schema[a].n_values * n_classes,
-                    ).reshape(m, schema[a].n_values, n_classes)
-                    for k in np.nonzero(candidate_nodes)[0]:
-                        score, mask = best_categorical_split(
-                            matrix[k], config.criterion,
-                            binary_subsets=config.categorical_binary_subsets,
-                            exhaustive_limit=config.subset_exhaustive_limit,
-                        )
-                        if np.isfinite(score):
-                            code = (encode_mask(mask)
-                                    if mask is not None else 0.0)
-                            rows[k] = (score, float(a), code)
-                            cat_state[(a, int(k))] = (matrix[k], mask)
+                    rows = SliqClassifier._scan_categorical(
+                        values[live_e], nodes[live_e], klass[rids[live_e]],
+                        schema[a].n_values, totals, candidate_nodes, a,
+                        config, cat_state,
+                    )
                 take = candidate_beats(rows, local_best)
                 local_best = np.where(take[:, None], rows, local_best)
             best = comm.allreduce(local_best, BEST_SPLIT)
         else:
             best = local_best
 
-        parent_imp = impurity(totals, config.criterion)
-        split_ok = (
-            candidate_nodes
-            & np.isfinite(best[:, 0])
-            & (parent_imp - best[:, 0] >= config.min_improvement)
-        )
+        split_ok = candidate_nodes & accepted_splits(totals, best, config)
 
         # categorical layouts come from the owning rank
         my_layouts: dict[int, tuple[list[int], int, int]] = {}
@@ -180,34 +148,16 @@ def vertical_sliq_worker(
         for k in range(m):
             parent, slot, depth = pending[k]
             if not split_ok[k]:
-                attach(
-                    Leaf(label=int(np.argmax(totals[k])),
-                         n_records=int(n_node[k]),
-                         class_counts=totals[k].copy(), depth=depth),
-                    parent, slot,
-                )
+                attach(root_holder, parent, slot,
+                       new_leaf(totals[k], depth, parent))
                 continue
-            attr = int(best[k, 1])
+            node = split_node(schema, best[k], totals[k], depth,
+                              merged_layouts.get(k))
+            attach(root_holder, parent, slot, node)
             child_base[k] = n_next
-            if schema[attr].is_continuous:
-                node: TreeNode = ContinuousSplit(
-                    attr_index=attr, threshold=float(best[k, 2]),
-                    n_records=int(n_node[k]),
-                    class_counts=totals[k].copy(), depth=depth,
-                    children=[None, None],
-                )
-                n_children = 2
-            else:
-                v2c_list, n_children, default = merged_layouts[k]
-                v2c = np.asarray(v2c_list, dtype=np.int32)
-                layout_arrays[k] = v2c.astype(np.int64)
-                node = CategoricalSplit(
-                    attr_index=attr, value_to_child=v2c,
-                    n_records=int(n_node[k]),
-                    class_counts=totals[k].copy(), depth=depth,
-                    children=[None] * n_children, default_child=default,
-                )
-            attach(node, parent, slot)
+            if not isinstance(node, ContinuousSplit):
+                layout_arrays[k] = node.value_to_child.astype(np.int64)
+            n_children = len(node.children)
             for c in range(n_children):
                 new_pending.append((node, c, depth + 1))
             n_next += n_children

@@ -45,7 +45,7 @@ from .analysis import format_series, run_grid, speedup_series
 from .baselines import induce_serial
 from .core import InductionConfig, ScalParC
 from .core.config import SPLIT_MODES
-from .runtime import available_backends
+from .runtime import available_backends, resolve_backend
 from .datagen import (
     FUNCTION_NAMES,
     generate_quest,
@@ -103,12 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--vote-top-k", type=int, default=2, metavar="K",
                        help="voted: attributes each rank votes for per "
                             "node (default 2)")
-    train.add_argument("--sort-levels", type=int, default=None, metavar="L",
-                       help="presort splitter-selection recursion depth: "
-                            "1 = single-level sample sort, L>1 = "
-                            "multi-level AMS schedule (bit-identical "
-                            "output); default: REPRO_SPMD_SORT_LEVELS "
-                            "env var, then 1")
     train.add_argument("--criterion", choices=("gini", "entropy"),
                        default="gini")
     train.add_argument("--subset-splits", action="store_true",
@@ -264,7 +258,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         split_mode=args.split_mode,
         n_bins=args.bins,
         vote_top_k=args.vote_top_k,
-        sort_levels=args.sort_levels,
         stream_chunk_records=args.stream_chunk,
         sketch_size=args.sketch_size,
         stream_grow_records=args.stream_grow,
@@ -275,6 +268,20 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.stream and args.serial:
         print("error: --stream needs the SPMD engine (drop --serial)",
               file=sys.stderr)
+        return 2
+    try:
+        # environment-backed settings resolve here, so a bad value is a
+        # one-line error naming the variable instead of a mid-fit traceback
+        config.resolved_split_mode()
+        if not args.serial:
+            resolve_backend(args.backend)
+        if args.stream:
+            config.resolved_stream_chunk_records()
+            config.resolved_sketch_size()
+            config.resolved_stream_grow_records()
+            config.resolved_stream_reopen_delta()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.serial and config.resolved_split_mode() != "exact":
         print("note: --serial always uses the exact split enumeration "

@@ -10,12 +10,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from ..runtime.envutil import env_float, env_int
+from ..runtime.envutil import EnvVarError, env_float, env_int
 from .criteria import CRITERIA, GINI
 
 __all__ = ["InductionConfig", "SPLIT_MODES", "SPLIT_MODE_ENV",
-           "SORT_LEVELS_ENV", "STREAM_CHUNK_ENV", "SKETCH_SIZE_ENV",
-           "STREAM_GROW_ENV", "STREAM_REOPEN_ENV"]
+           "STREAM_CHUNK_ENV", "SKETCH_SIZE_ENV", "STREAM_GROW_ENV",
+           "STREAM_REOPEN_ENV"]
 
 #: recognized FindSplit strategies (see :mod:`repro.core.strategies`)
 SPLIT_MODES = ("exact", "histogram", "voted")
@@ -24,13 +24,9 @@ SPLIT_MODES = ("exact", "histogram", "voted")
 #: ``InductionConfig.split_mode`` is None (mirrors ``REPRO_SPMD_BACKEND``)
 SPLIT_MODE_ENV = "REPRO_SPMD_SPLIT_MODE"
 
-#: environment variable selecting the presort recursion depth when
-#: ``InductionConfig.sort_levels`` is None (same precedence pattern)
-SORT_LEVELS_ENV = "REPRO_SPMD_SORT_LEVELS"
-
 #: environment variables backing the streaming-induction knobs when the
 #: corresponding ``InductionConfig`` field is None (same precedence
-#: pattern as ``REPRO_SPMD_BACKEND`` / ``REPRO_SPMD_SORT_LEVELS``)
+#: pattern as ``REPRO_SPMD_BACKEND`` / ``REPRO_SPMD_SPLIT_MODE``)
 STREAM_CHUNK_ENV = "REPRO_STREAM_CHUNK_RECORDS"
 SKETCH_SIZE_ENV = "REPRO_STREAM_SKETCH_SIZE"
 STREAM_GROW_ENV = "REPRO_STREAM_GROW_RECORDS"
@@ -66,18 +62,9 @@ class InductionConfig:
         Override the block size (entries per rank per round).
     per_node_communication:
         Ablation of §3.1: issue the splitting-phase collectives once per
-        tree node instead of once per level, reproducing the latency
-        blow-up the paper's per-level design avoids.  Parallel only.
-    combined_enquiry:
-        Communication optimization (the tech-report follow-up to §3.3.2's
-        "possible ways of optimizing the communication overheads"): batch
-        the node-table enquiries of *all* non-splitting attributes into a
-        single enquire per level instead of one per attribute — same
-        bytes, 1 all-to-all latency pair instead of n_a−1.  Parallel only;
-        never changes the induced tree, so it defaults on; set False for
-        the per-attribute ablation.  Incompatible with
-        ``per_node_communication`` (one batches per level, the other
-        un-batches), so that ablation silently coerces this knob to False.
+        tree node (PerformSplitII's enquiries once per attribute and
+        node) instead of once per level, reproducing the latency blow-up
+        the paper's per-level design avoids.  Parallel only.
     fused_collectives:
         Collective fusion (see :mod:`repro.runtime.fusion`): drive all
         attributes' FindSplit reductions through one deferred batch so a
@@ -107,20 +94,6 @@ class InductionConfig:
         Voted mode: number of attributes each rank votes for per node,
         and the number of globally elected attributes whose statistics
         are globalized (PV-Tree's k).
-    sort_levels:
-        Presort splitter-selection recursion depth (the multi-level AMS
-        sample sort of arXiv:1410.6754): 1 = classic single-level sample
-        sort; ``L > 1`` recurses splitter selection over rank groups in L
-        rounds so no round gathers ``p²`` samples or cuts ``p − 1`` ways.
-        ``None`` defers to ``REPRO_SPMD_SORT_LEVELS`` (default 1).  The
-        sorted output — and hence every induced tree — is bit-identical
-        for any value (the presort's *collective schedule* differs, the
-        data it produces does not), so this knob does *not* join the
-        checkpoint compatibility fingerprint.  Parallel only.
-    sort_oversample:
-        Multi-level presort only: regular samples per rank per round, as
-        a multiple of the round's split factor.  Never changes the
-        output, only the splitter balance.
     backend:
         SPMD execution engine for the parallel run: ``"thread"``,
         ``"process"``, ``"cooperative"``, ``"tcp"``, or ``None`` to
@@ -172,13 +145,10 @@ class InductionConfig:
     blocked_updates: bool = True
     max_update_block: int | None = None
     per_node_communication: bool = False
-    combined_enquiry: bool = True
     fused_collectives: bool = True
     split_mode: str | None = None
     n_bins: int = 32
     vote_top_k: int = 2
-    sort_levels: int | None = None
-    sort_oversample: int = 2
     backend: str | None = None
     checkpoint: object | None = None
     stream_chunk_records: int | None = None
@@ -193,21 +163,10 @@ class InductionConfig:
         mode = self.split_mode
         if mode is None:
             mode = os.environ.get(SPLIT_MODE_ENV, "").strip() or "exact"
-        if mode not in SPLIT_MODES:
-            raise ValueError(
-                f"split mode must be one of {SPLIT_MODES}, got {mode!r}"
-            )
+            if mode not in SPLIT_MODES:
+                raise EnvVarError(SPLIT_MODE_ENV, mode,
+                                  f"one of {SPLIT_MODES}")
         return mode
-
-    def resolved_sort_levels(self) -> int:
-        """The effective presort recursion depth: ``sort_levels`` when
-        set, else ``REPRO_SPMD_SORT_LEVELS``, else 1."""
-        levels = self.sort_levels
-        if levels is None:
-            levels = env_int(SORT_LEVELS_ENV, 1)
-        if levels < 1:
-            raise ValueError(f"sort levels must be >= 1, got {levels}")
-        return levels
 
     def resolved_stream_chunk_records(self) -> int:
         """The effective per-epoch global chunk size: the field when
@@ -294,10 +253,6 @@ class InductionConfig:
             raise ValueError("n_bins must be >= 2")
         if self.vote_top_k < 1:
             raise ValueError("vote_top_k must be >= 1")
-        if self.sort_levels is not None and self.sort_levels < 1:
-            raise ValueError("sort_levels must be >= 1 or None")
-        if self.sort_oversample < 1:
-            raise ValueError("sort_oversample must be >= 1")
         if self.stream_chunk_records is not None \
                 and self.stream_chunk_records < 1:
             raise ValueError("stream_chunk_records must be >= 1 or None")
@@ -309,8 +264,3 @@ class InductionConfig:
         if self.stream_reopen_delta is not None \
                 and not 0.0 <= self.stream_reopen_delta <= 1.0:
             raise ValueError("stream_reopen_delta must be in [0, 1] or None")
-        if self.combined_enquiry and self.per_node_communication:
-            # the per-node ablation un-batches what combined_enquiry
-            # batches; since combined_enquiry is on by default, coerce it
-            # off rather than making the ablation unreachable
-            object.__setattr__(self, "combined_enquiry", False)

@@ -122,7 +122,7 @@ def induce_worker(
     else:
         # Presort + initial distribution
         with timed_phase(comm, PRESORT):
-            lists, n_total = build_local_lists(comm, dataset, config)
+            lists, n_total = build_local_lists(comm, dataset)
             strategy.prepare(comm, lists, config, n_classes, n_total)
             split_phase.setup(comm, n_total)
         # pending[k] = (parent node, child slot, depth) of active node k

@@ -8,15 +8,14 @@ Given every node's winning split:
   table is updated through the parallel hashing paradigm — optionally in
   blocked rounds of ≤ ⌈N/p⌉ updates per rank for memory scalability.
 * **PerformSplitII** — the lists of all non-splitting attributes are
-  split, one attribute at a time: the node table is enquired for each
-  entry's record id, and the returned next-level node drives a stable
-  local regroup of the list.
+  split: the node table is enquired for each entry's record id, and the
+  returned next-level node drives a stable local regroup of the list.
 
 Communication is batched **per level** (§3.1): one table update and one
-enquiry per attribute per level.  Setting
+enquiry covering every attribute per level.  Setting
 ``InductionConfig.per_node_communication`` issues them per tree node
-instead — the ablation showing the latency blow-up per-level batching
-avoids.
+(the enquiries per attribute and node) instead — the ablation showing
+the latency blow-up per-level batching avoids.
 """
 
 from __future__ import annotations
@@ -230,34 +229,27 @@ def perform_split(
             new_nodes_per_list.append(new_nodes)
             lookup_masks.append(need[nodes])
 
-        if config.combined_enquiry:
-            # optimization: one enquiry covering every attribute's requests —
-            # identical bytes, a single all-to-all latency pair per level
+        if config.per_node_communication:
+            # §3.1 ablation: one enquiry per attribute per node
+            for alist, mask, new_nodes in zip(lists, lookup_masks,
+                                              new_nodes_per_list):
+                nodes = alist.entry_nodes()
+                for batch in node_batches:
+                    sub = mask & batch[nodes]
+                    answers = table.lookup(alist.rids[sub])
+                    new_nodes[sub] = answers.astype(np.int64)
+        else:
+            # one enquiry covering every attribute's requests: a single
+            # all-to-all latency pair per level
             all_rids = np.concatenate([
                 alist.rids[mask] for alist, mask in zip(lists, lookup_masks)
             ]) if lists else np.empty(0, dtype=np.int64)
             answers = table.lookup(all_rids).astype(np.int64)
             offset = 0
-            for alist, mask, new_nodes in zip(lists, lookup_masks,
-                                              new_nodes_per_list):
+            for mask, new_nodes in zip(lookup_masks, new_nodes_per_list):
                 count = int(mask.sum())
                 new_nodes[mask] = answers[offset:offset + count]
                 offset += count
-        else:
-            for alist, mask, new_nodes in zip(lists, lookup_masks,
-                                              new_nodes_per_list):
-                if config.per_node_communication:
-                    nodes = alist.entry_nodes()
-                    need = decisions.splitting & (
-                        decisions.winner_attr != alist.attr_index
-                    )
-                    for batch in node_batches:
-                        sub = (need & batch)[nodes]
-                        answers = table.lookup(alist.rids[sub])
-                        new_nodes[sub] = answers.astype(np.int64)
-                else:
-                    answers = table.lookup(alist.rids[mask])
-                    new_nodes[mask] = answers.astype(np.int64)
 
         for alist, new_nodes in zip(lists, new_nodes_per_list):
             comm.perf.add_compute("split", alist.n_local)

@@ -30,7 +30,7 @@ import os
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Sequence
 
-from ..envutil import env_float
+from ..envutil import EnvVarError, env_float
 
 __all__ = [
     "DEFAULT_BACKEND",
@@ -74,10 +74,17 @@ def resolve_timeout(timeout: float | None = None) -> float:
 
 def resolve_backend(backend: str | None = None) -> str:
     """Pick the effective backend name: explicit argument, then the
-    ``REPRO_SPMD_BACKEND`` environment variable, then ``"thread"``."""
+    ``REPRO_SPMD_BACKEND`` environment variable, then ``"thread"``.
+
+    Raises :class:`EnvVarError` when the variable names no registered
+    backend."""
     if backend is not None:
         return backend
-    return os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
+    name = os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
+    if name not in _FACTORIES:
+        raise EnvVarError(BACKEND_ENV, name,
+                          f"one of {available_backends()}")
+    return name
 
 
 class SpmdEngine(ABC):

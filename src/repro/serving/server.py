@@ -260,9 +260,9 @@ class BatchServer:
                 f"rows must be one record or a 2-D batch, "
                 f"got shape {rows.shape}"
             )
-        # Validate the column width here, against the model the batch
-        # would answer from, so a malformed request fails alone instead
-        # of poisoning every co-batched request at the vstack.
+        # Validate the column width and values here, against the model
+        # the batch would answer from, so a malformed request fails alone
+        # instead of poisoning every co-batched request at the vstack.
         source = self._source
         try:
             model = source if isinstance(source, ServableModel) \
@@ -276,6 +276,14 @@ class BatchServer:
                     f"expected {expected} attribute columns, "
                     f"got {rows.shape[1]}"
                 )
+        # NaN has no place in the split order (training refuses it too);
+        # ±inf is an ordinary value
+        nan_cols = np.flatnonzero(np.isnan(rows).any(axis=0))
+        if len(nan_cols):
+            col = int(nan_cols[0])
+            name = f" ({model.compiled.schema[col].name!r})" \
+                if model is not None else ""
+            raise ValueError(f"NaN in attribute column {col}{name}")
         future = asyncio.get_running_loop().create_future()
         await self._queue.put(_Request(rows, proba, future))
         return await future

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,3 +129,29 @@ def test_report_command(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--results", str(tmp_path)]) == 0
     assert "TABLE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("var,value", [
+    ("REPRO_SPMD_BACKEND", "bogus"),
+    ("REPRO_SPMD_SPLIT_MODE", "bogus"),
+    ("REPRO_STREAM_SKETCH_SIZE", "x"),
+])
+def test_train_bad_environment_value_is_clean_error(var, value):
+    """A malformed environment setting is a one-line ``error:`` naming
+    the variable and exit status 2, not a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(__file__).resolve().parents[1] / "src"))
+    env[var] = value
+    r = subprocess.run(
+        [sys.executable, "-m", "repro", "train", "--records", "300",
+         "--processors", "2", "--stream"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stdout + r.stderr
+    assert r.stderr.startswith("error: ") and var in r.stderr
+
+
+def test_sort_levels_flag_is_gone():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["train", "--sort-levels", "2"])

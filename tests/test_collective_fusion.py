@@ -11,7 +11,9 @@ Four halves:
   count (the fused schedule is a repacking, never a reordering of data);
 * guard — the fused schedule stays ≤ 4 collectives per FindSplit phase
   per level *regardless of attribute count* (tier-1 perf regression
-  guard for the O(n_attributes) → O(1) claim);
+  guard for the O(n_attributes) → O(1) claim), and PerformSplitII's
+  combined enquiry issues the same collectives per level for any
+  attribute count;
 * pricing — the cost model charges a fused rendezvous one latency for
   the whole group, so the modeled parallel time drops while byte volume
   stays put.
@@ -25,7 +27,7 @@ import pytest
 from repro.baselines import induce_serial
 from repro.core import ScalParC
 from repro.core.config import InductionConfig
-from repro.core.phases import FINDSPLIT1, FINDSPLIT2
+from repro.core.phases import FINDSPLIT1, FINDSPLIT2, PERFORMSPLIT2
 from repro.datagen import generate_quest
 from repro.datagen.random_data import random_dataset, random_schema
 from repro.runtime import (
@@ -271,6 +273,37 @@ def test_unfused_schedule_grows_with_attribute_count():
     counts = _findsplit_counts_per_level(collector.events_of(0))
     # 2 exscans × 8 continuous + 1 reduce × 3 categorical + totals ≥ 20
     assert max(counts.values()) > 4
+
+
+def _enquiry_counts_per_level(n_cont, n_cat, **knobs):
+    """Level -> PerformSplitII collective count on rank 0."""
+    rng = np.random.default_rng(7)
+    schema = random_schema(rng, n_continuous=n_cont, n_categorical=n_cat,
+                           n_classes=3)
+    ds = random_dataset(rng, 240, schema)
+    collector = TraceCollector()
+    ScalParC(n_processors=3, machine=None,
+             config=InductionConfig(max_depth=4, **knobs)
+             ).fit(ds, trace=collector)
+    counts: dict[int, int] = {}
+    for ev in collector.events_of(0):
+        if ev.level is not None and ev.phase == PERFORMSPLIT2:
+            counts[ev.level] = counts.get(ev.level, 0) + 1
+    assert counts, "no PerformSplitII collectives traced"
+    return counts
+
+
+def test_enquiry_schedule_constant_in_attribute_count():
+    """PerformSplitII sends one combined enquiry per level: 3 and 9
+    attributes cost the same collectives, and the §3.1 per-node ablation
+    (one enquiry per attribute and node) costs more."""
+    narrow = _enquiry_counts_per_level(2, 1)
+    wide = _enquiry_counts_per_level(6, 3)
+    per_level = set(narrow.values())
+    assert len(per_level) == 1 and set(wide.values()) == per_level, (
+        narrow, wide)
+    per_node = _enquiry_counts_per_level(6, 3, per_node_communication=True)
+    assert max(per_node.values()) > per_level.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import SORT_LEVELS_ENV, InductionConfig
 from repro.runtime.engines.base import TIMEOUT_ENV, resolve_timeout
 from repro.runtime.engines.tcp import HB_ENV, resolve_hb_interval
 from repro.runtime.envutil import EnvVarError, env_float, env_int
@@ -76,8 +75,3 @@ def test_heartbeat_resolver_reports_variable(monkeypatch):
     with pytest.raises(EnvVarError, match=HB_ENV):
         resolve_hb_interval()
 
-
-def test_sort_levels_resolver_reports_variable(monkeypatch):
-    monkeypatch.setenv(SORT_LEVELS_ENV, "many")
-    with pytest.raises(EnvVarError, match=SORT_LEVELS_ENV):
-        InductionConfig().resolved_sort_levels()

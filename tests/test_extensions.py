@@ -1,5 +1,5 @@
 """Extension features: parallel scoring, feature importance, DOT export,
-isoefficiency analysis, combined-enquiry optimization."""
+isoefficiency analysis."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    InductionConfig,
-    ScalParC,
     accuracy,
     feature_importances,
     induce_serial,
@@ -183,47 +181,3 @@ def test_isoefficiency_validation(iso_grid):
         isoefficiency_curve(iso_grid, target_efficiency=0.0)
     with pytest.raises(ValueError):
         fit_isoefficiency(iso_grid, target_efficiency=1.0)  # unattainable
-
-
-# ---------------------------------------------------------------------------
-# combined enquiry optimization
-# ---------------------------------------------------------------------------
-
-def test_combined_enquiry_same_tree_fewer_collectives():
-    # combined_enquiry defaults on; the per-attribute schedule is the
-    # explicit ablation
-    ds = paper_dataset(2000, "F2", seed=2)
-    base = ScalParC(
-        6, config=InductionConfig(max_depth=5, combined_enquiry=False)
-    ).fit(ds)
-    combined = ScalParC(
-        6, config=InductionConfig(max_depth=5, combined_enquiry=True)
-    ).fit(ds)
-    assert combined.tree.structurally_equal(base.tree)
-    assert (sum(combined.stats.collective_counts.values())
-            < sum(base.stats.collective_counts.values()))
-    # identical enquiry bytes move either way (same requests, one batch)
-    assert combined.stats.total_bytes == pytest.approx(
-        base.stats.total_bytes, rel=0.01
-    )
-
-
-def test_combined_enquiry_serial_equivalence():
-    ds = generate_quest(700, "F6", seed=4)
-    ref = induce_serial(ds)
-    for p in (2, 5):
-        got = ScalParC(
-            p, config=InductionConfig(combined_enquiry=True), machine=None
-        ).fit(ds)
-        assert got.tree.structurally_equal(ref)
-
-
-def test_combined_enquiry_coerced_off_under_per_node():
-    # the per-node ablation un-batches what combined_enquiry batches;
-    # since combined_enquiry defaults on it is coerced off rather than
-    # making the ablation unconstructible
-    cfg = InductionConfig(per_node_communication=True)
-    assert cfg.combined_enquiry is False
-    cfg = InductionConfig(combined_enquiry=True, per_node_communication=True)
-    assert cfg.combined_enquiry is False
-    assert InductionConfig().combined_enquiry is True

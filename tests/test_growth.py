@@ -7,6 +7,8 @@
 * continuous columns must not hold NaN (every driver's comparisons would
   route it differently from the serial reference); ±inf is an ordinary
   value;
+* untrainable datasets (no records, no attributes) are refused by every
+  driver and baseline;
 * an empty child takes its parent's majority label;
 * the subset-mask codec round-trips.
 """
@@ -19,7 +21,12 @@ import os
 import numpy as np
 import pytest
 
-from repro.baselines import induce_serial
+from repro.baselines import (
+    SliqClassifier,
+    SprintClassifier,
+    VerticalSliqClassifier,
+    induce_serial,
+)
 from repro.core import InductionConfig, ScalParC
 from repro.core.growth import new_leaf
 from repro.core.splits import decode_mask, encode_mask
@@ -157,11 +164,29 @@ def test_lossless_stream_matches_batch_with_subset_splits():
                        "streaming vs batch with binary subsets")
 
 
-@pytest.mark.parametrize("driver", ["batch", "stream"])
+#: a one-call fit of every driver and baseline, and the error it raises
+#: on an untrainable dataset (SPMD workers refuse it on their ranks)
+_UNTRAINABLE_FITS = {
+    "batch": (lambda ds: _fit("batch", ds, _base("batch")), SpmdWorkerError),
+    "stream": (lambda ds: _fit("stream", ds, _base("stream")),
+               SpmdWorkerError),
+    "sliq": (lambda ds: SliqClassifier().fit(ds), ValueError),
+    "sliq-r": (lambda ds: VerticalSliqClassifier(2, machine=None).fit(ds),
+               SpmdWorkerError),
+    "sprint": (lambda ds: SprintClassifier().fit(ds), ValueError),
+}
+
+
+@pytest.mark.parametrize("driver", list(_UNTRAINABLE_FITS))
 def test_untrainable_dataset_is_refused(driver):
-    empty = generate_quest(10, "F2", seed=0).take(np.arange(0))
-    with pytest.raises(SpmdWorkerError, match="empty dataset"):
-        _fit(driver, empty, _base(driver))
+    fit, error = _UNTRAINABLE_FITS[driver]
+    ds = generate_quest(10, "F2", seed=0)
+    no_attributes = Dataset(schema=ds.schema.select([]), columns=[],
+                            labels=ds.labels)
+    for bad, reason in ((ds.take(np.arange(0)), "empty dataset"),
+                        (no_attributes, "no attributes")):
+        with pytest.raises(error, match=reason):
+            fit(bad)
 
 
 def test_empty_leaf_inherits_parent_majority():

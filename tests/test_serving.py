@@ -598,6 +598,44 @@ def test_mismatched_width_fails_alone_not_the_batch(tmp_path, trees):
     assert stats.n_errors == 0          # rejection never reached a batch
 
 
+def test_nan_request_fails_alone_inf_is_served(tmp_path, trees):
+    """A request holding NaN is refused at enqueue with a ValueError
+    naming its first NaN column; its co-batched neighbour is unharmed,
+    and ±inf (an ordinary value, as in training) is still answered."""
+    t1, _, test = trees
+    reg = ModelRegistry(tmp_path)
+    reg.publish(t1, activate=True)
+    rows = test.features_matrix()
+    bad = rows[:3].copy()
+    bad[1, 4] = np.nan
+    bad[0, 6] = np.nan
+    edge = rows[:2].copy()
+    edge[0, 0], edge[1, 0] = np.inf, -np.inf
+    first_nan = t1.schema[4].name
+
+    async def scenario():
+        server = BatchServer(reg, ServerConfig(max_delay=0.05,
+                                               max_batch=4096))
+        await server.start()
+        try:
+            good = asyncio.ensure_future(server.predict(rows))
+            with pytest.raises(ValueError,
+                               match=f"column 4 \\('{first_nan}'\\)"):
+                await server.predict(bad)
+            result = await good
+            infinite = await server.predict(edge)
+        finally:
+            await server.stop()
+        return result, infinite, server.stats
+
+    result, infinite, stats = asyncio.run(scenario())
+    np.testing.assert_array_equal(
+        result.labels, predict_columns(t1, test.columns))
+    np.testing.assert_array_equal(
+        infinite.labels, predict_columns(t1, list(edge.T)))
+    assert stats.n_errors == 0          # rejection never reached a batch
+
+
 def test_batcher_never_exceeds_max_batch(tmp_path, trees):
     """The accumulator flushes *before* admitting a request that would
     overshoot the record budget (the old order appended first, so every
