@@ -18,7 +18,11 @@ from conftest import RESULTS_DIR, SCALE, dataset_factory, emit
 
 from repro import ScalParC, induce_serial
 from repro.core import kernels
-from repro.core.criteria import best_categorical_split, split_score_from_left
+from repro.core.criteria import (
+    best_binary_subset,
+    best_categorical_split,
+    split_score_from_left,
+)
 from repro.core.kernels import forced_kernel_mode
 from repro.datagen import paper_dataset
 from repro.hashing import DistributedNodeTable
@@ -516,6 +520,61 @@ def test_categorical_score_before_after(benchmark):
         for r in rows
     ] + [f"categorical_score after/before ratio: {ratio:.2f}x"]
     _merge_kernel_rows(rows, lines, {"categorical_score"})
+
+
+def test_subset_search_before_after(benchmark):
+    """Footnote-1 binary-subset search at F7's categorical arities
+    (elevel k=5 and zipcode k=9 exhaustive, car k=20 greedy under the
+    default ``subset_exhaustive_limit=12``): the per-subset reference
+    loop versus one batched score pass per (node, attribute).
+    Acceptance floor: ≥ 10× over the F7 mix."""
+    rng = np.random.default_rng(9)
+    n_nodes = 24
+    mats = {
+        k: [rng.integers(1, 400, (k, 2)).astype(np.int64)
+            for _ in range(n_nodes)]
+        for k in (5, 9, 20)
+    }
+
+    def run_all(k):
+        return [best_binary_subset(mat, "gini") for mat in mats[k]]
+
+    rows, lines, t_mix = [], [], {"reference": 0.0, "fast": 0.0}
+    for k in mats:
+        with forced_kernel_mode("reference"):
+            want = run_all(k)
+            t_before = _best_of(lambda: run_all(k), rounds=3)
+        with forced_kernel_mode("fast"):
+            got = run_all(k)
+            t_after = _best_of(lambda: run_all(k), rounds=3)
+        for (s_ref, m_ref), (s_fast, m_fast) in zip(want, got):
+            assert s_fast == s_ref
+            np.testing.assert_array_equal(m_fast, m_ref)
+        t_mix["reference"] += t_before
+        t_mix["fast"] += t_after
+        branch = "exhaustive" if k <= 12 else "greedy"
+        for variant, t in (("per-subset loop (before)", t_before),
+                           ("batched pass (after)", t_after)):
+            rows.append({"kernel": "subset_search", "variant": variant,
+                         "k": k, "branch": branch, "n_nodes": n_nodes,
+                         "best_seconds": t})
+            lines.append(
+                f"subset_search  {variant:30s} k={k:<2d} {branch:10s} "
+                f"m={n_nodes} best={t * 1e3:8.2f} ms"
+            )
+    with forced_kernel_mode("fast"):
+        out = benchmark(lambda: run_all(20))
+    assert len(out) == n_nodes
+    ratio = t_mix["reference"] / t_mix["fast"]
+    assert ratio >= 10.0, (
+        f"subset search only {ratio:.2f}x over the per-subset loop on the "
+        f"F7 mix (acceptance floor is 10x)"
+    )
+    lines.append(
+        f"subset_search after/before ratio: {ratio:.2f}x over the F7 mix "
+        f"(floor 10x)"
+    )
+    _merge_kernel_rows(rows, lines, {"subset_search"})
 
 
 def test_perform_split_children_before_after(benchmark):

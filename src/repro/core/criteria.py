@@ -137,84 +137,32 @@ def best_binary_subset(
 ) -> tuple[float, np.ndarray]:
     """Best binary subset split of a categorical attribute (footnote 1).
 
-    Partitions the occurring values into {S, complement}; returns
+    Partitions the k occurring values into {S, complement}; returns
     ``(score, mask)`` where ``mask[v]`` is True for values routed left.
-    Exhaustive search over the 2^(k−1)−1 proper subsets of the k occurring
-    values when k ≤ ``exhaustive_limit``; otherwise the classic greedy
-    hill-climb (start empty, repeatedly move the value that improves the
-    score most).  Deterministic: ties prefer the lexicographically
-    smallest mask (lowest value indices first).
+    The first occurring value ``occurring[0]`` always goes right (a split
+    and its complement are the same split), so a candidate is named by its
+    *subset code* ``Σ 2^b`` over the left values ``occurring[b + 1]``.
 
-    Returns ``(inf, zeros)`` when fewer than two values occur.
+    * k ≤ ``exhaustive_limit``: exhaustive search over the 2^(k−1)−1
+      codes.  Ties go to the **smallest code**: of two tied subsets, the
+      one *without* the highest value index on which they differ
+      (colexicographic order, not the lexicographically smallest mask —
+      for ``[[1,1],[1,0],[4,2],[2,5]]`` the tied {v1, v2} (code 3) wins
+      over {v3} (code 4)).
+    * otherwise: the greedy hill-climb — start with an empty left side,
+      and each round move the value whose move scores lowest (ties: the
+      lowest value index) while that strictly improves on the current
+      score, keeping the right side non-empty.
+
+    Returns ``(inf, zeros)`` when fewer than two values occur.  The
+    search runs in :func:`repro.core.kernels.binary_subset_search`
+    (batched, or its per-subset reference twin under
+    ``REPRO_KERNELS=reference``); this is the one entry point every
+    caller uses per (node, attribute).
     """
-    matrix = np.asarray(matrix, dtype=np.int64)
-    n_values = matrix.shape[0]
-    occurring = np.nonzero(matrix.sum(axis=1) > 0)[0]
-    k = len(occurring)
-    mask = np.zeros(n_values, dtype=bool)
-    if k < 2:
-        return float("inf"), mask
-    totals = matrix.sum(axis=0)
+    from . import kernels   # kernels imports this module at load time
 
-    if k <= exhaustive_limit:
-        # enumerate masks over occurring values; fix value occurring[0] to
-        # the right side to halve the space (complementary masks are
-        # equivalent splits)
-        n_subsets = 1 << (k - 1)
-        best_score = float("inf")
-        best_bits = 0
-        for bits in range(1, n_subsets):
-            left = np.zeros_like(totals)
-            for b in range(k - 1):
-                if bits >> b & 1:
-                    left = left + matrix[occurring[b + 1]]
-            score = float(
-                split_score_from_left(left[None, :], totals[None, :],
-                                      criterion)[0]
-            )
-            if score < best_score:
-                best_score = score
-                best_bits = bits
-        for b in range(k - 1):
-            if best_bits >> b & 1:
-                mask[occurring[b + 1]] = True
-        return best_score, mask
-
-    # greedy: grow the left set while the score improves
-    in_left = np.zeros(k, dtype=bool)
-    left = np.zeros_like(totals)
-    best_score = float("inf")
-    improved = True
-    while improved:
-        improved = False
-        best_move = -1
-        move_score = best_score
-        for j in range(k):
-            if in_left[j]:
-                continue
-            if in_left.sum() == k - 1:
-                continue  # keep the right side non-empty
-            trial = left + matrix[occurring[j]]
-            score = float(
-                split_score_from_left(trial[None, :], totals[None, :],
-                                      criterion)[0]
-            )
-            if score < move_score:
-                move_score = score
-                best_move = j
-        if best_move >= 0:
-            in_left[best_move] = True
-            left = left + matrix[occurring[best_move]]
-            best_score = move_score
-            improved = True
-    if not in_left.any():  # no single move improved on inf: seed with first
-        in_left[0] = True
-        left = matrix[occurring[0]]
-        best_score = float(
-            split_score_from_left(left[None, :], totals[None, :], criterion)[0]
-        )
-    mask[occurring[in_left]] = True
-    return best_score, mask
+    return kernels.binary_subset_search(matrix, criterion, exhaustive_limit)
 
 
 def best_categorical_split(

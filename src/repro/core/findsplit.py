@@ -248,44 +248,47 @@ def _score_categorical(
     Multiway (paper-default) scoring runs as one batched
     :func:`~repro.core.kernels.multiway_scores` pass over every candidate
     node's count matrix at once; the per-node loop survives only for the
-    binary-subset configuration (a combinatorial search per node) and for
-    reference kernel mode.
+    binary-subset configuration (one batched subset search per node) and
+    for reference kernel mode.  The coordinator's scoring is FindSplitII
+    work (§4), so it runs under that phase tag; it issues no collective
+    and charges no simulated compute.
     """
     out = pack_candidates(len(candidate_nodes))
     state: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
     if comm.rank != root or matrices is None:
         return out, state
-    cand = np.nonzero(candidate_nodes)[0]
-    if len(cand) == 0:
-        return out, state
-    if (
-        not config.categorical_binary_subsets
-        and kernels.kernel_mode() != "reference"
-    ):
-        scores = kernels.multiway_scores(matrices[cand], config.criterion)
-        fin = np.isfinite(scores)
-        hit = cand[fin]
-        out[hit, 0] = scores[fin]
-        out[hit, 1] = float(alist.attr_index)
-        out[hit, 2] = 0.0  # multiway splits carry no subset mask
-        for k in hit:
-            state[int(k)] = (matrices[k], None)
-        return out, state
-    for k in cand:
-        score, mask = best_categorical_split(
-            matrices[k],
-            config.criterion,
-            binary_subsets=config.categorical_binary_subsets,
-            exhaustive_limit=config.subset_exhaustive_limit,
-        )
-        if np.isfinite(score):
-            out[k] = (
-                score,
-                float(alist.attr_index),
-                encode_mask(mask) if mask is not None else 0.0,
+    with timed_phase(comm, FINDSPLIT2):
+        cand = np.nonzero(candidate_nodes)[0]
+        if len(cand) == 0:
+            return out, state
+        if (
+            not config.categorical_binary_subsets
+            and kernels.kernel_mode() != "reference"
+        ):
+            scores = kernels.multiway_scores(matrices[cand], config.criterion)
+            fin = np.isfinite(scores)
+            hit = cand[fin]
+            out[hit, 0] = scores[fin]
+            out[hit, 1] = float(alist.attr_index)
+            out[hit, 2] = 0.0  # multiway splits carry no subset mask
+            for k in hit:
+                state[int(k)] = (matrices[k], None)
+            return out, state
+        for k in cand:
+            score, mask = best_categorical_split(
+                matrices[k],
+                config.criterion,
+                binary_subsets=config.categorical_binary_subsets,
+                exhaustive_limit=config.subset_exhaustive_limit,
             )
-            state[int(k)] = (matrices[k], mask)
-    return out, state
+            if np.isfinite(score):
+                out[k] = (
+                    score,
+                    float(alist.attr_index),
+                    encode_mask(mask) if mask is not None else 0.0,
+                )
+                state[int(k)] = (matrices[k], mask)
+        return out, state
 
 
 def categorical_candidates(

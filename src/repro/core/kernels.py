@@ -56,6 +56,8 @@ __all__ = [
     "segment_argmin_reference",
     "multiway_scores",
     "multiway_scores_reference",
+    "binary_subset_search",
+    "binary_subset_search_reference",
     "stable_regroup",
     "stable_regroup_reference",
 ]
@@ -347,6 +349,150 @@ def multiway_scores_reference(cubes: np.ndarray, criterion: str) -> np.ndarray:
         split_score_multiway(cubes[k], criterion)
         for k in range(cubes.shape[0])
     ])
+
+
+# ---------------------------------------------------------------------------
+# binary-subset categorical search (footnote 1) — one node, one attribute
+# ---------------------------------------------------------------------------
+
+#: most subset codes the exhaustive search scores in one batched pass
+#: (256 KiB of int64 bits per value row, so k = 20 stays under 5 MiB)
+SUBSET_CHUNK = 1 << 15
+
+
+def _subset_problem(
+    matrix: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(matrix, occurring, totals, mask)`` shared by both searches:
+    the int64 count matrix, the indices of its non-empty value rows, the
+    node's class totals and an all-False left mask."""
+    matrix = np.asarray(matrix, dtype=np.int64)
+    occurring = np.flatnonzero(matrix.sum(axis=1) > 0)
+    return (matrix, occurring, matrix.sum(axis=0),
+            np.zeros(matrix.shape[0], dtype=bool))
+
+
+def binary_subset_search(
+    matrix: np.ndarray, criterion: str, exhaustive_limit: int
+) -> tuple[float, np.ndarray]:
+    """Best binary subset split of one (n_values, c) count matrix.
+
+    The kernel behind :func:`repro.core.criteria.best_binary_subset`
+    (which documents the search and its tie-break).  Fast path:
+
+    * **exhaustive** (k ≤ ``exhaustive_limit`` occurring values) —
+      subset codes ``1 … 2^(k−1)−1`` in chunks of :data:`SUBSET_CHUNK`;
+      each chunk's left counts are one exact int64 product of its
+      (chunk, k−1) bit matrix with the occurring value rows, scored by
+      one :func:`~repro.core.criteria.split_score_from_left` call.  The
+      first minimum wins: ``argmin`` inside a chunk, strict ``<`` across
+      chunks — the reference's ascending-code scan order;
+    * **greedy** — every remaining move of a round is scored in one call;
+      the first minimum is taken if strictly below the current best.
+
+    Bit-identical to the per-subset reference: the left counts are the
+    same integers and the score is evaluated row-wise by the same
+    elementwise expressions.
+    """
+    if kernel_mode() == "reference":
+        return binary_subset_search_reference(
+            matrix, criterion, exhaustive_limit
+        )
+    matrix, occurring, totals, mask = _subset_problem(matrix)
+    k = len(occurring)
+    if k < 2:
+        return float("inf"), mask
+    if k <= exhaustive_limit:
+        # occurring[0] always goes right: complementary codes are the
+        # same split, so codes range over the other k−1 values only
+        rows = matrix[occurring[1:]]
+        shifts = np.arange(k - 1, dtype=np.int64)
+        n_codes = 1 << (k - 1)
+        best_score, best_code = float("inf"), 0
+        for lo in range(1, n_codes, SUBSET_CHUNK):
+            codes = np.arange(lo, min(lo + SUBSET_CHUNK, n_codes),
+                              dtype=np.int64)
+            bits = (codes[:, None] >> shifts) & 1
+            scores = split_score_from_left(bits @ rows, totals, criterion)
+            i = int(np.argmin(scores))
+            if scores[i] < best_score:
+                best_score, best_code = float(scores[i]), int(codes[i])
+        mask[occurring[1:][(best_code >> shifts) & 1 == 1]] = True
+        return best_score, mask
+    # greedy: move values left while the best move improves the score;
+    # with k ≥ 2 every score is finite, so the first round always moves
+    rows = matrix[occurring]
+    in_left = np.zeros(k, dtype=bool)
+    left = np.zeros_like(totals)
+    best_score = float("inf")
+    for _ in range(k - 1):              # the right side stays non-empty
+        free = np.flatnonzero(~in_left)
+        scores = split_score_from_left(left + rows[free], totals, criterion)
+        i = int(np.argmin(scores))
+        if not scores[i] < best_score:
+            break
+        in_left[free[i]] = True
+        left = left + rows[free[i]]
+        best_score = float(scores[i])
+    mask[occurring[in_left]] = True
+    return best_score, mask
+
+
+def binary_subset_search_reference(
+    matrix: np.ndarray, criterion: str, exhaustive_limit: int
+) -> tuple[float, np.ndarray]:
+    """Scalar reference: one single-row ``split_score_from_left`` call
+    per subset (exhaustive) or per trial move (greedy)."""
+    matrix, occurring, totals, mask = _subset_problem(matrix)
+    k = len(occurring)
+    if k < 2:
+        return float("inf"), mask
+
+    def score_of(left: np.ndarray) -> float:
+        return float(
+            split_score_from_left(left[None, :], totals[None, :],
+                                  criterion)[0]
+        )
+
+    if k <= exhaustive_limit:
+        best_score = float("inf")
+        best_bits = 0
+        for bits in range(1, 1 << (k - 1)):
+            left = np.zeros_like(totals)
+            for b in range(k - 1):
+                if bits >> b & 1:
+                    left = left + matrix[occurring[b + 1]]
+            score = score_of(left)
+            if score < best_score:
+                best_score = score
+                best_bits = bits
+        for b in range(k - 1):
+            if best_bits >> b & 1:
+                mask[occurring[b + 1]] = True
+        return best_score, mask
+
+    in_left = np.zeros(k, dtype=bool)
+    left = np.zeros_like(totals)
+    best_score = float("inf")
+    improved = True
+    while improved:
+        improved = False
+        best_move = -1
+        move_score = best_score
+        for j in range(k):
+            if in_left[j] or in_left.sum() == k - 1:
+                continue
+            score = score_of(left + matrix[occurring[j]])
+            if score < move_score:
+                move_score = score
+                best_move = j
+        if best_move >= 0:
+            in_left[best_move] = True
+            left = left + matrix[occurring[best_move]]
+            best_score = move_score
+            improved = True
+    mask[occurring[in_left]] = True
+    return best_score, mask
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.core.criteria import (
     split_score_from_left,
     split_score_multiway,
 )
+from repro.core.kernels import KERNEL_MODES, forced_kernel_mode
 
 # ---------------------------------------------------------------------------
 # impurity
@@ -188,6 +189,24 @@ def test_greedy_subset_is_valid_partition():
     # greedy can't beat exhaustive
     exact, _ = best_binary_subset(matrix, exhaustive_limit=25)
     assert score >= exact - 1e-12
+
+
+def test_subset_tie_break_is_smallest_code():
+    """Tied subsets resolve to the smallest subset code Σ 2^b over the
+    left values occurring[b + 1] (occurring[0] always goes right), not
+    to the lexicographically smallest mask: {v1, v2} (code 3) and {v3}
+    (code 4) tie here, and {v1, v2} wins in both kernel modes."""
+    matrix = np.array([[1, 1], [1, 0], [4, 2], [2, 5]], dtype=np.int64)
+    totals = matrix.sum(axis=0)
+    tied = split_score_from_left(
+        np.array([matrix[1] + matrix[2], matrix[3]]), totals
+    )
+    assert tied[0] == tied[1]
+    for mode in KERNEL_MODES:
+        with forced_kernel_mode(mode):
+            score, mask = best_binary_subset(matrix)
+        assert score == tied[0], mode
+        np.testing.assert_array_equal(mask, [False, True, True, False])
 
 
 def test_best_categorical_split_dispatch():

@@ -321,6 +321,64 @@ def test_reshard_fast_equals_reference(old_size, new_size):
 
 
 # ---------------------------------------------------------------------------
+# binary-subset categorical search
+# ---------------------------------------------------------------------------
+
+@settings(deadline=None, max_examples=120)
+@given(st.integers(2, 16), st.integers(1, 4), st.integers(0, 14),
+       st.sampled_from(["gini", "entropy"]), st.integers(0, 2 ** 31 - 1))
+def test_binary_subset_search_matches_reference(n_values, n_classes, limit,
+                                                criterion, seed):
+    """Bit-identical score and mask on both branches (``limit`` 0–14
+    puts the 2–16 value rows on either side of the exhaustive limit),
+    with empty value rows and tie-prone small counts mixed in."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.integers(0, rng.choice([3, 40]),
+                          (n_values, n_classes)).astype(np.int64)
+    matrix[rng.random(n_values) < 0.3] = 0
+    fast = kernels.binary_subset_search(matrix, criterion, limit)
+    ref = kernels.binary_subset_search_reference(matrix, criterion, limit)
+    assert fast[0] == ref[0] or (np.isinf(fast[0]) and np.isinf(ref[0]))
+    np.testing.assert_array_equal(fast[1], ref[1])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_binary_subset_search_first_minimum_across_chunks(monkeypatch,
+                                                          chunk):
+    """Tiny chunks put tied minima in different chunks: the strict ``<``
+    between chunks must keep the first (smallest-code) one, exactly as
+    the reference's ascending scan does."""
+    monkeypatch.setattr(kernels, "SUBSET_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for _ in range(40):
+        matrix = rng.integers(0, 3, (int(rng.integers(2, 8)), 2))
+        fast = kernels.binary_subset_search(matrix, "gini", 12)
+        ref = kernels.binary_subset_search_reference(matrix, "gini", 12)
+        assert fast[0] == ref[0] or (np.isinf(fast[0]) and np.isinf(ref[0]))
+        np.testing.assert_array_equal(fast[1], ref[1])
+
+
+@pytest.mark.parametrize("backend", ["thread", "cooperative"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_subset_fit_kernel_modes_match_serial(monkeypatch, backend, p):
+    """F7 with binary-subset splits: the fit under either kernel family,
+    at any processor count and backend, compiles to the serial oracle's
+    tree."""
+    from repro.baselines import induce_serial
+    from repro.core import InductionConfig, ScalParC
+    from repro.datagen import generate_quest
+
+    ds = generate_quest(1000, "F7", seed=11)
+    config = InductionConfig(categorical_binary_subsets=True)
+    want = induce_serial(ds, config).compiled().structure_digest
+    for mode in kernels.KERNEL_MODES:
+        with forced_kernel_mode(mode):
+            tree = ScalParC(n_processors=p, config=config, machine=None,
+                            backend=backend).fit(ds).tree
+        assert tree.compiled().structure_digest == want, (mode, p, backend)
+
+
+# ---------------------------------------------------------------------------
 # end to end: the mode switch is invisible (trees + trace digests)
 # ---------------------------------------------------------------------------
 

@@ -78,3 +78,42 @@ def test_phase_names_are_the_figure2_set():
     assert set(ALL_PHASES) == {
         PRESORT, FINDSPLIT1, FINDSPLIT2, PERFORMSPLIT1, PERFORMSPLIT2
     }
+
+
+@pytest.mark.parametrize("config", [
+    {},
+    {"fused_collectives": False},
+    {"split_mode": "histogram"},
+], ids=["fused", "unfused", "histogram"])
+def test_subset_search_runs_in_findsplit2(monkeypatch, config):
+    """The coordinator's categorical scoring is FindSplitII work (§4):
+    at every subset search of a traced F7 fit, the calling rank's
+    collective tracer is tagged FindSplitII."""
+    import sys
+
+    from repro.core import InductionConfig, criteria
+    from repro.runtime import TraceCollector
+
+    search = criteria.best_binary_subset
+    seen: list[str | None] = []
+
+    def recording(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None:
+            tracer = getattr(frame.f_locals.get("comm"), "_tracer", None)
+            if tracer is not None:
+                seen.append(tracer.phase)
+                break
+            frame = frame.f_back
+        else:
+            seen.append("no traced caller")
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "best_binary_subset", recording)
+    ScalParC(2, config=InductionConfig(categorical_binary_subsets=True,
+                                       **config),
+             machine=None, backend="thread").fit(
+        paper_dataset(1500, "F7", seed=3), trace=TraceCollector()
+    )
+    assert seen
+    assert set(seen) == {FINDSPLIT2}
